@@ -242,4 +242,21 @@ mod tests {
         }
         assert_eq!(sweep[5].primer_len, 31);
     }
+
+    #[test]
+    fn layout_ladder_costs_are_pinned() {
+        // The §5.3 ladder as `ablation_layout` prints it: only Fig. 8
+        // keeps the read at the block's own leaf; Fig. 7 pays the whole
+        // update region; Fig. 6 pays it too, plus a second (log) round.
+        let rows = layout_comparison(0x1A9);
+        let costs: Vec<(usize, usize, bool)> = rows
+            .iter()
+            .map(|r| (r.measured_reads, r.measured_rounds, r.correct))
+            .collect();
+        assert_eq!(
+            costs,
+            [(720, 1, true), (3060, 1, true), (3420, 2, true)],
+            "reads used / PCR rounds / correct per layout"
+        );
+    }
 }
