@@ -766,14 +766,16 @@ impl StoreServer {
     ///
     /// # Errors
     ///
-    /// Fails on the first per-block error in the range.
+    /// [`StoreError::BlockOutOfRange`] for the first block past the
+    /// partition's end (checked before anything is queued); otherwise
+    /// fails on the first per-block error in the range.
     pub fn read_range(
         &self,
         pid: PartitionId,
         lo: u64,
         hi: u64,
     ) -> Result<Vec<ServedRead>, StoreError> {
-        let wants: Vec<(PartitionId, u64)> = (lo..=hi).map(|b| (pid, b)).collect();
+        let wants = self.store.range_requests(pid, lo, hi)?;
         self.serve_reads(&wants).into_iter().collect()
     }
 
@@ -1132,6 +1134,20 @@ mod tests {
         let data = deterministic_text(blocks * BLOCK_SIZE, seed ^ 0x52);
         server.write_file(pid, &data).unwrap();
         (server, pid, data)
+    }
+
+    #[test]
+    fn read_range_past_the_end_fails_before_queueing() {
+        let (server, pid, _) = server_with_blocks(301, 1, immediate_config(8));
+        let capacity = server.store().partition(pid).unwrap().num_leaves();
+        assert_eq!(
+            server.read_range(pid, 0, u64::MAX).unwrap_err(),
+            StoreError::BlockOutOfRange {
+                block: capacity,
+                capacity
+            }
+        );
+        assert_eq!(server.stats().rounds_executed, 0);
     }
 
     #[test]

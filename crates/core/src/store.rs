@@ -80,17 +80,18 @@ use crate::sync::{LockRank, RankedMutex, RankedMutexGuard, RankedRwLock, RankedR
 use crate::update::UpdatePatch;
 use crate::StoreError;
 use dna_pipeline::{
-    decode_block_validated, decode_jobs_parallel_into, demux_reads, thread_share,
-    BlockDecodeOutcome, ChannelPrimer, DecodeJob,
+    decode_jobs_parallel_into, demux_reads, thread_share, BlockDecodeOutcome, ChannelPrimer,
+    DecodeJob,
 };
 use dna_primers::{PrimerConstraints, PrimerLibrary, PrimerPair};
 use dna_seq::rng::DetRng;
 use dna_seq::{Base, DnaSeq};
 use dna_sim::{
-    IdsChannel, Molecule, MultiplexPcrReaction, Nanodrop, PcrPrimer, PcrProtocol, PcrReaction,
-    Pool, PrimerChannel, Read, Sequencer, SequencerScratch, SynthesisVendor, TubeRack,
+    IdsChannel, Molecule, MultiplexPcrReaction, Nanodrop, PcrPrimer, PcrProtocol, Pool,
+    PrimerChannel, Sequencer, SynthesisVendor, TubeRack,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Handle to a partition within a [`BlockStore`].
@@ -100,14 +101,16 @@ pub struct PartitionId(pub usize);
 /// Wetlab statistics of one block read.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReadProtocolStats {
-    /// PCR + sequencing round-trips (1 unless overflow pointers were
-    /// followed).
+    /// PCR + sequencing round-trips. A batched read pays its one
+    /// multiplex round. A sequential [`BlockStore::read_block`] pays one
+    /// per Interleaved chain hop (1 + hops), 1 for TwoStacks, and 2 for
+    /// DedicatedLog once the shared log holds entries (data, then log).
     pub pcr_rounds: usize,
     /// Total reads sequenced.
     pub reads_sequenced: usize,
-    /// Reads whose primer regions matched the target prefix.
+    /// Reads whose primer regions matched a leaf this read decoded.
     pub reads_matched: usize,
-    /// Clusters reconstructed until coverage was complete (last round).
+    /// Clusters reconstructed for the requested block's own leaf.
     pub clusters_used: usize,
 }
 
@@ -132,14 +135,6 @@ pub struct CommittedUpdate {
     pub image: Block,
     /// The target shard's epoch after the commit.
     pub epoch: u64,
-}
-
-/// One channel of a multiplex round before budget assignment: the weighted
-/// forward scope, the reverse primer, and the encoding units it covers.
-struct ChannelSpec {
-    scope: Vec<(DnaSeq, f64)>,
-    reverse: DnaSeq,
-    units: usize,
 }
 
 /// Result of a batched multi-block retrieval
@@ -259,6 +254,7 @@ struct ShardSnapshot {
 
 /// A read-only view of the shared log shard (no RNG split: reads do not
 /// disturb the log shard's stream).
+#[derive(Clone)]
 struct LogSnapshot {
     pid: usize,
     partition: Arc<Partition>,
@@ -399,34 +395,49 @@ impl BlockStore {
         Some(shard.log_state(pid))
     }
 
-    /// Snapshot of one shard for a read, paired — *atomically* — with the
-    /// shared-log snapshot when the shard's layout needs it. The log is
-    /// snapshotted while the shard lock is still held (shard → log, the
-    /// documented order): a DedicatedLog update holds its target shard
-    /// across its entire log append + epoch bump, so holding the shard
-    /// here means the pair is either entirely pre-update or entirely
-    /// post-update — a torn pair could otherwise return post-update bytes
-    /// stamped with the pre-update epoch and confuse the serving layer's
-    /// epoch-ordered cache coherence.
-    fn snapshot_for_read(
+    /// Snapshots the shards `pids` for a read: one consistent cut per
+    /// shard, taken in ascending pid order, plus the shared log — last —
+    /// when any of them uses the DedicatedLog layout. DedicatedLog shards
+    /// stay locked until the log is snapshotted, so every (shard, log)
+    /// pair is atomic: an update holds its target shard across its whole
+    /// log append, so a pair taken under the shard lock is either entirely
+    /// pre-update or entirely post-update (never post-update bytes stamped
+    /// with a pre-update epoch, which would confuse the serving layer's
+    /// epoch-ordered cache coherence). Everything after runs lock-free.
+    fn snapshot_reads(
         &self,
-        pid: usize,
-    ) -> Result<(ShardSnapshot, Option<LogSnapshot>), StoreError> {
-        let cell = self.shard_cell(pid)?;
-        // Resolve the log cell before taking any shard lock (the
-        // directory always comes first in the lock order). A log created
-        // concurrently with this resolution holds only entries from
-        // updates concurrent with this read — returning the pre-update
-        // image is linearizable.
-        let log = self.log_cell().filter(|&(log_pid, _)| log_pid != pid);
-        let mut shard = Self::lock_shard(&cell);
-        let snap = shard.snapshot_state(pid);
-        let log_snap = if shard.partition.config().layout == UpdateLayout::DedicatedLog {
-            log.map(|(log_pid, log_cell)| Self::lock_shard(&log_cell).log_state(log_pid))
+        pids: &BTreeSet<usize>,
+    ) -> Result<(BTreeMap<usize, ShardSnapshot>, Option<LogSnapshot>), StoreError> {
+        let mut cells = Vec::with_capacity(pids.len());
+        for &pid in pids {
+            cells.push((pid, self.shard_cell(pid)?));
+        }
+        // Resolve the log cell before taking any shard lock (the directory
+        // always comes first in the lock order). A log created concurrently
+        // with this resolution holds only entries from updates concurrent
+        // with this read — returning the pre-update image is linearizable.
+        let log = self.log_cell();
+        let mut snaps: BTreeMap<usize, ShardSnapshot> = BTreeMap::new();
+        let mut log_needed = false;
+        let mut dl_guards: Vec<RankedMutexGuard<'_, PartitionShard>> = Vec::new();
+        for (pid, cell) in &cells {
+            let mut shard = Self::lock_shard(cell);
+            snaps.insert(*pid, shard.snapshot_state(*pid));
+            if shard.partition.config().layout == UpdateLayout::DedicatedLog {
+                log_needed = true;
+                if log.as_ref().is_some_and(|&(log_pid, _)| log_pid != *pid) {
+                    dl_guards.push(shard); // hold until the log snapshot
+                }
+            }
+        }
+        let log_snap = if log_needed {
+            log.as_ref()
+                .map(|(log_pid, log_cell)| Self::lock_shard(log_cell).log_state(*log_pid))
         } else {
             None
         };
-        Ok((snap, log_snap))
+        drop(dl_guards);
+        Ok((snaps, log_snap))
     }
 
     // ----- setup (&mut self: exclusive by construction) --------------------
@@ -1520,57 +1531,63 @@ impl BlockStore {
 
     // ----- sequential reads ------------------------------------------------
 
-    /// Reads one block through the full wetlab path: precise PCR with the
-    /// block's elongated primer (multiplexed with chain/region primers as
-    /// the layout requires), sequencing, clustering, trace reconstruction,
-    /// RS decoding and patch application. Follows overflow pointers with
-    /// extra round-trips when present.
+    /// Reads one block with the paper's sequential protocol, driven round
+    /// by round over the store's one retrieval-round executor (the engine
+    /// batched reads use too). Each step plans one round from what the
+    /// reader knows so far, executes it — precise PCR, sequencing,
+    /// clustering, trace reconstruction, RS decoding — and hands the
+    /// decoded leaves to the layout's interpreter, which either returns the
+    /// patched block or names the leaf or log round it still needs:
+    ///
+    /// - Interleaved (Fig. 8): the block's leaf, then one more round per
+    ///   overflow pointer it decodes (1 + hops rounds);
+    /// - TwoStacks (Fig. 7): the block plus the whole used update region,
+    ///   in one round;
+    /// - DedicatedLog (Fig. 6): the block, then the entire shared log in a
+    ///   second round (skipped while the log is empty).
     ///
     /// The whole wetlab/decode phase runs against a shard snapshot with no
     /// locks held; the result is linearized at snapshot time.
     ///
     /// # Errors
     ///
-    /// [`StoreError::DecodeFailed`] if any required unit cannot be
-    /// recovered.
+    /// [`StoreError::UnknownPartition`] or [`StoreError::BlockOutOfRange`]
+    /// for a bad address; [`StoreError::DecodeFailed`] if any required
+    /// unit cannot be recovered.
     pub fn read_block(&self, pid: PartitionId, block: u64) -> Result<BlockReadOutcome, StoreError> {
-        let (mut snap, log) = self.snapshot_for_read(pid.0)?;
-        let layout = snap.partition.config().layout;
+        let (mut snaps, log) = self.snapshot_reads(&BTreeSet::from([pid.0]))?;
+        let mut snap = snaps.remove(&pid.0).expect("requested shard snapshotted");
+        let capacity = snap.partition.num_leaves();
+        if block >= capacity {
+            return Err(StoreError::BlockOutOfRange { block, capacity });
+        }
+        let mut decoded = Decoded::default();
         let mut stats = ReadProtocolStats {
             pcr_rounds: 0,
             reads_sequenced: 0,
             reads_matched: 0,
             clusters_used: 0,
         };
-        // Round 1: the block's leaf (plus the update region for TwoStacks).
-        let (mut current, mut patches): (Block, Vec<UpdatePatch>) = match layout {
-            UpdateLayout::Interleaved { update_slots } => read_interleaved(
-                &self.instruments,
-                &mut snap,
-                block,
-                update_slots,
-                &mut stats,
-            )?,
-            UpdateLayout::TwoStacks => {
-                read_two_stacks(&self.instruments, &mut snap, block, &mut stats)?
-            }
-            UpdateLayout::DedicatedLog => read_with_dedicated_log(
-                &self.instruments,
-                &mut snap,
-                log.as_ref(),
-                block,
-                &mut stats,
-            )?,
-        };
-        let patches_applied = patches.len();
-        for patch in patches.drain(..) {
-            current = patch.apply(&current)?;
+        loop {
+            let request = (pid.0, &*snap.partition, block);
+            let (plan, tube) = match interpret(request, log.as_ref(), &decoded, None, stats)? {
+                Step::Done(outcome) => return Ok(outcome),
+                Step::Leaf(leaf) => (plan_sequential_round(request, leaf), Arc::clone(&snap.tube)),
+                Step::Log => {
+                    let log = log
+                        .as_ref()
+                        .expect("the log is needed only when it has entries");
+                    let mut plan = RoundPlan::default();
+                    plan.log_channel(log);
+                    (plan, Arc::clone(&log.tube))
+                }
+            };
+            // One decode thread: the sequential reader's cost model.
+            let out = execute_round(&self.instruments, &[tube], plan, &mut snap.rng, 1);
+            stats.pcr_rounds += 1;
+            stats.reads_sequenced += out.reads_sequenced;
+            decoded.merge(stats.pcr_rounds, out);
         }
-        Ok(BlockReadOutcome {
-            block: current,
-            patches_applied,
-            stats,
-        })
     }
 
     /// Reads a contiguous block range via one multiplexed precise PCR
@@ -1583,9 +1600,11 @@ impl BlockStore {
     ///
     /// # Errors
     ///
-    /// Fails if any block in the range cannot be decoded.
+    /// [`StoreError::BlockOutOfRange`] for the first block past the
+    /// partition's end (checked before any wetlab work); otherwise fails
+    /// if any block in the range cannot be decoded.
     pub fn read_range(&self, pid: PartitionId, lo: u64, hi: u64) -> Result<Vec<Block>, StoreError> {
-        let requests: Vec<(PartitionId, u64)> = (lo..=hi).map(|b| (pid, b)).collect();
+        let requests = self.range_requests(pid, lo, hi)?;
         let batch = self.read_blocks_batch(&requests)?;
         batch
             .outcomes
@@ -1593,61 +1612,34 @@ impl BlockStore {
             .map(|r| r.map(|o| o.block))
             .collect()
     }
-}
 
-/// Splits one reaction's forward-primer budget across a weighted scope so
-/// every covered leaf amplifies evenly (§3.2's concentration invariant).
-fn weighted_forward_primers(scope: &[(DnaSeq, f64)], budget: f64) -> Vec<PcrPrimer> {
-    let total_weight: f64 = scope.iter().map(|(_, w)| w.max(1e-9)).sum();
-    scope
-        .iter()
-        .map(|(p, w)| PcrPrimer::with_budget(p.clone(), budget * w.max(1e-9) / total_weight))
-        .collect()
+    /// The per-block requests of the inclusive range `lo..=hi`, with `hi`
+    /// checked against the partition's capacity *before* the request list
+    /// is built — an unbounded `hi` would otherwise allocate without
+    /// limit. The error names the first out-of-range block, exactly as the
+    /// per-block path reports it.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::UnknownPartition`] or [`StoreError::BlockOutOfRange`].
+    pub(crate) fn range_requests(
+        &self,
+        pid: PartitionId,
+        lo: u64,
+        hi: u64,
+    ) -> Result<Vec<(PartitionId, u64)>, StoreError> {
+        let capacity = self.partition(pid)?.num_leaves();
+        if lo <= hi && hi >= capacity {
+            return Err(StoreError::BlockOutOfRange {
+                block: lo.max(capacity),
+                capacity,
+            });
+        }
+        Ok((lo..=hi).map(|b| (pid, b)).collect())
+    }
 }
 
 impl Instruments {
-    /// Reads to sequence when `expected_units` encoding units are in scope
-    /// (15 strands per unit at the configured coverage). Shared by the
-    /// sequential and batched paths.
-    fn reads_to_sequence(&self, expected_units: usize) -> usize {
-        expected_units.max(1) * 15 * self.coverage
-    }
-
-    /// Runs one precise PCR (multiplexed over weighted `primers`) on the
-    /// reaction tube and sequences the product. Primer budgets are
-    /// proportional to each primer's weight (the number of leaves it
-    /// covers), so every leaf in scope amplifies evenly (§3.2). The primer
-    /// budget is 20× the tube's template count, so cycles end in template
-    /// competition rather than primer exhaustion.
-    ///
-    /// Streams the sequenced reads into `out` (cleared first) so chained
-    /// rounds — the interleaved layout's pointer-hop loop, the dedicated
-    /// log's data+log pair — reuse one read buffer and one sequencer
-    /// scratch instead of allocating per round.
-    #[allow(clippy::too_many_arguments)]
-    fn run_retrieval_into(
-        &self,
-        tube: &Pool,
-        primers: &[(DnaSeq, f64)],
-        rev: &DnaSeq,
-        expected_units: usize,
-        rng: &mut DetRng,
-        scratch: &mut SequencerScratch,
-        out: &mut Vec<Read>,
-    ) {
-        let budget = tube.total_copies() * 20.0;
-        let rxn = PcrReaction {
-            forward_primers: weighted_forward_primers(primers, budget),
-            reverse_primer: PcrPrimer::with_budget(rev.clone(), budget),
-            protocol: PcrProtocol::paper_block_access(),
-        };
-        let amplified = rxn.run(tube);
-        let n_reads = self.reads_to_sequence(expected_units);
-        out.clear();
-        self.sequencer
-            .sequence_into(&amplified.pool, n_reads, rng, scratch, out);
-    }
-
     /// Synthesizes small-batch designs with the IDT vendor model (the
     /// update / compaction-rewrite path). Lock-free: callers run this
     /// against a snapshot RNG stream. Returns the raw synthesis pool and
@@ -1690,229 +1682,6 @@ impl Instruments {
     }
 }
 
-// ----- sequential layout-specific read paths (snapshot-based) --------------
-
-fn read_interleaved(
-    instruments: &Instruments,
-    snap: &mut ShardSnapshot,
-    block: u64,
-    update_slots: u8,
-    stats: &mut ReadProtocolStats,
-) -> Result<(Block, Vec<UpdatePatch>), StoreError> {
-    let partition = &snap.partition;
-    let mut patches = Vec::new();
-    let mut original: Option<Block> = None;
-    let mut leaf = block;
-    // One read buffer and sequencer scratch for the whole pointer chain.
-    let mut reads: Vec<Read> = Vec::new();
-    let mut seq_scratch = SequencerScratch::new();
-    // Follow the pointer chain; the common case is a single round-trip.
-    for _hop in 0..64 {
-        let prefix = partition.elongated_primer(leaf);
-        let rev = partition.primers().reverse().clone();
-        let live = partition.live_version_slots(leaf);
-        let cfg = partition.decode_config_versions(leaf, &live);
-        instruments.run_retrieval_into(
-            &snap.tube,
-            &[(prefix.clone(), 1.0)],
-            &rev,
-            4,
-            &mut snap.rng,
-            &mut seq_scratch,
-            &mut reads,
-        );
-        stats.pcr_rounds += 1;
-        stats.reads_sequenced += reads.len();
-        let outcome = decode_block_validated(&reads, &prefix, &rev, &cfg, unit_checksum_ok);
-        stats.reads_matched += outcome.reads_matched;
-        stats.clusters_used = outcome.clusters_used;
-        // Every metadata-live slot must have decoded; a missing one is
-        // a hole in the patch chain and returning the block without it
-        // would serve stale bytes.
-        require_live_versions(&outcome, &live, block, leaf)?;
-        let mut next_leaf = None;
-        for (base, v) in &outcome.versions {
-            let slot = VersionSlot::from_base(*base);
-            let content =
-                Block::from_unit_bytes(&v.unit_bytes).map_err(|_| StoreError::DecodeFailed {
-                    block,
-                    reason: format!("unit checksum at leaf {leaf} slot {}", slot.0),
-                })?;
-            if leaf == block && slot.0 == 0 {
-                original = Some(content);
-            } else if slot.0 == update_slots {
-                // pointer slot
-                match parse_pointer_block(&content) {
-                    Some(target) => next_leaf = Some(target),
-                    None => {
-                        return Err(StoreError::DecodeFailed {
-                            block,
-                            reason: format!("malformed pointer at leaf {leaf}"),
-                        })
-                    }
-                }
-            } else {
-                patches.push((leaf, slot.0, UpdatePatch::from_block(&content)?));
-            }
-        }
-        if outcome.versions.is_empty() && leaf == block {
-            return Err(StoreError::DecodeFailed {
-                block,
-                reason: "no versions recovered".to_string(),
-            });
-        }
-        match next_leaf {
-            Some(target) => leaf = target,
-            None => break,
-        }
-    }
-    let original = original.ok_or(StoreError::DecodeFailed {
-        block,
-        reason: "original version missing".to_string(),
-    })?;
-    // Patches are already in (hop, slot) order: chain hops were visited
-    // chronologically and slots sort by version base.
-    let ordered = patches.into_iter().map(|(_, _, p)| p).collect();
-    Ok((original, ordered))
-}
-
-fn read_two_stacks(
-    instruments: &Instruments,
-    snap: &mut ShardSnapshot,
-    block: u64,
-    stats: &mut ReadProtocolStats,
-) -> Result<(Block, Vec<UpdatePatch>), StoreError> {
-    let partition = &snap.partition;
-    let rev = partition.primers().reverse().clone();
-    let update_leaves: Vec<u64> = partition.chain_of(block).to_vec();
-    // Fig. 7 cost: the block plus the ENTIRE used update region must be
-    // amplified, with primer concentrations weighted by covered leaves.
-    let stack_updates = partition.stack_update_count();
-    let mut scope: Vec<(DnaSeq, f64)> = vec![(partition.elongated_primer(block), 1.0)];
-    if stack_updates > 0 {
-        let lo = partition.num_leaves() - stack_updates;
-        let hi = partition.num_leaves() - 1;
-        scope.extend(partition.range_prefixes_weighted(lo, hi));
-    }
-    let expected_units = 1 + stack_updates as usize;
-    let mut reads: Vec<Read> = Vec::new();
-    instruments.run_retrieval_into(
-        &snap.tube,
-        &scope,
-        &rev,
-        expected_units,
-        &mut snap.rng,
-        &mut SequencerScratch::new(),
-        &mut reads,
-    );
-    stats.pcr_rounds += 1;
-    stats.reads_sequenced += reads.len();
-    // Decode the block itself. TwoStacks data leaves only ever hold the
-    // base version, so the decode is pinned to it — noise claiming a
-    // retired or foreign version base can never become a phantom patch.
-    let prefix = partition.elongated_primer(block);
-    let cfg = partition.decode_config_versions(block, &[VersionSlot(0)]);
-    let outcome = decode_block_validated(&reads, &prefix, &rev, &cfg, unit_checksum_ok);
-    stats.reads_matched += outcome.reads_matched;
-    let (original, _) = interpret_interleaved(&outcome, block)?;
-    // Decode this block's update leaves (known from metadata; their
-    // content is self-ordering via version slots 0 at distinct leaves).
-    let mut patches = Vec::new();
-    for &leaf in &update_leaves {
-        let prefix = partition.elongated_primer(leaf);
-        let cfg = partition.decode_config_versions(leaf, &[VersionSlot(0)]);
-        let o = decode_block_validated(&reads, &prefix, &rev, &cfg, unit_checksum_ok);
-        stats.reads_matched += o.reads_matched;
-        if let Some(v) = o.versions.get(&Base::A) {
-            let content =
-                Block::from_unit_bytes(&v.unit_bytes).map_err(|_| StoreError::DecodeFailed {
-                    block,
-                    reason: format!("update unit at leaf {leaf}"),
-                })?;
-            patches.push(UpdatePatch::from_block(&content)?);
-        } else {
-            return Err(StoreError::DecodeFailed {
-                block,
-                reason: format!("update leaf {leaf} unrecovered"),
-            });
-        }
-    }
-    Ok((original, patches))
-}
-
-fn read_with_dedicated_log(
-    instruments: &Instruments,
-    snap: &mut ShardSnapshot,
-    log: Option<&LogSnapshot>,
-    block: u64,
-    stats: &mut ReadProtocolStats,
-) -> Result<(Block, Vec<UpdatePatch>), StoreError> {
-    // Round 1: the data block (base version only under this layout),
-    // amplified from this shard's own tube.
-    let partition = &snap.partition;
-    let prefix = partition.elongated_primer(block);
-    let rev = partition.primers().reverse().clone();
-    let cfg = partition.decode_config_versions(block, &[VersionSlot(0)]);
-    // One read buffer and sequencer scratch shared by both rounds.
-    let mut reads: Vec<Read> = Vec::new();
-    let mut seq_scratch = SequencerScratch::new();
-    instruments.run_retrieval_into(
-        &snap.tube,
-        &[(prefix.clone(), 1.0)],
-        &rev,
-        2,
-        &mut snap.rng,
-        &mut seq_scratch,
-        &mut reads,
-    );
-    stats.pcr_rounds += 1;
-    stats.reads_sequenced += reads.len();
-    let outcome = decode_block_validated(&reads, &prefix, &rev, &cfg, unit_checksum_ok);
-    stats.reads_matched += outcome.reads_matched;
-    let (original, _) = interpret_interleaved(&outcome, block)?;
-    // Round 2: the ENTIRE shared log (the §5.3 Fig. 6 cost) from the log
-    // tube — skipped outright when compaction has folded the log back to
-    // empty.
-    let mut patches = Vec::new();
-    if let Some(log) = log.filter(|l| l.head > 0) {
-        let log_fwd = log.partition.scope_primer();
-        let log_rev = log.partition.primers().reverse().clone();
-        let entries = log.head;
-        instruments.run_retrieval_into(
-            &log.tube,
-            &[(log_fwd.clone(), 1.0)],
-            &log_rev,
-            entries as usize + 1,
-            &mut snap.rng,
-            &mut seq_scratch,
-            &mut reads,
-        );
-        stats.pcr_rounds += 1;
-        stats.reads_sequenced += reads.len();
-        let mut found: Vec<(u32, UpdatePatch)> = Vec::new();
-        for leaf in 0..entries {
-            let prefix = log.partition.elongated_primer(leaf);
-            let cfg = log
-                .partition
-                .decode_config_versions(leaf, &[VersionSlot(0)]);
-            let o = decode_block_validated(&reads, &prefix, &log_rev, &cfg, unit_checksum_ok);
-            stats.reads_matched += o.reads_matched;
-            // As in the batch path: an unrecovered entry might target
-            // this block, so the read must fail rather than skip it.
-            let v = o.versions.get(&Base::A).ok_or(StoreError::DecodeFailed {
-                block,
-                reason: format!("log entry {leaf} unrecovered"),
-            })?;
-            if let Ok(content) = Block::from_unit_bytes(&v.unit_bytes) {
-                found.extend(log_patch_for(&content, snap.pid as u32, block));
-            }
-        }
-        found.sort_by_key(|&(seq, _)| seq);
-        patches.extend(found.into_iter().map(|(_, p)| p));
-    }
-    Ok((original, patches))
-}
-
 /// Parses a decoded log-entry unit, returning `(seq, patch)` when the entry
 /// targets `(pid, block)`.
 fn log_patch_for(content: &Block, pid: u32, block: u64) -> Option<(u32, UpdatePatch)> {
@@ -1942,40 +1711,21 @@ fn require_live_versions(
     Ok(())
 }
 
-/// Extracts the original block and its in-leaf patches from a decode
-/// outcome (Interleaved semantics: slot 0 = original, others = patches).
-fn interpret_interleaved(
-    outcome: &BlockDecodeOutcome,
-    block: u64,
-) -> Result<(Block, Vec<UpdatePatch>), StoreError> {
-    let original = outcome
+/// Decodes the original (slot 0) of `block` from its own leaf's outcome.
+/// Layouts whose data leaves hold only the base version pin that decode
+/// to slot 0, so any other version there is noise.
+fn decode_original(outcome: &BlockDecodeOutcome, block: u64) -> Result<Block, StoreError> {
+    let v = outcome
         .versions
         .get(&Base::A)
         .ok_or(StoreError::DecodeFailed {
             block,
             reason: "original version missing".to_string(),
-        })
-        .and_then(|v| {
-            Block::from_unit_bytes(&v.unit_bytes).map_err(|_| StoreError::DecodeFailed {
-                block,
-                reason: "unit checksum".to_string(),
-            })
         })?;
-    let mut patches = Vec::new();
-    for (base, v) in &outcome.versions {
-        if *base == Base::A {
-            continue;
-        }
-        let content =
-            Block::from_unit_bytes(&v.unit_bytes).map_err(|_| StoreError::DecodeFailed {
-                block,
-                reason: "update unit checksum".to_string(),
-            })?;
-        if parse_pointer_block(&content).is_none() {
-            patches.push(UpdatePatch::from_block(&content)?);
-        }
-    }
-    Ok((original, patches))
+    Block::from_unit_bytes(&v.unit_bytes).map_err(|_| StoreError::DecodeFailed {
+        block,
+        reason: "unit checksum".to_string(),
+    })
 }
 
 /// Serializes a DedicatedLog entry: marker, partition, block, sequence
@@ -2013,45 +1763,16 @@ fn parse_log_entry(block: &Block) -> Option<(u32, u64, u32, UpdatePatch)> {
 
 // ----- batched retrieval ---------------------------------------------------
 
-/// Everything one multiplex round needs, captured from shard snapshots so
-/// the round can execute with no locks held (and concurrently with other
-/// rounds — rounds never share a data shard by construction).
+/// Everything one batched multiplex round needs, captured from shard
+/// snapshots so the round can execute with no locks held (and concurrently
+/// with other rounds — rounds never share a data shard by construction).
 struct RoundInput {
     /// Snapshots of this round's partitions, ascending pid.
     shards: Vec<ShardSnapshot>,
-    /// The shared-log duty, present only in the designated carrier round
-    /// (the first round containing a DedicatedLog partition): the log is
+    /// The shared log, present only in the designated carrier round (the
+    /// first round containing a DedicatedLog partition): the log is
     /// amplified and decoded at most once per batch call.
-    log: Option<LogDuty>,
-}
-
-/// The carrier round's view of the shared log.
-struct LogDuty {
-    pid: usize,
-    partition: Arc<Partition>,
-    tube: Arc<Pool>,
-    head: u64,
-}
-
-/// What one executed round hands back for merging: decode outcomes in
-/// submission order with their `(pid, leaf)` keys, plus round-level stats.
-struct RoundOutput {
-    jobs: Vec<(usize, u64)>,
-    outcomes: Vec<BlockDecodeOutcome>,
-    reads_sequenced: usize,
-    primer_pairs: usize,
-}
-
-/// Decode state merged across the rounds of one batch call, in round
-/// order: outcomes indexed by `(pid, leaf)`, each remembering the round
-/// that produced it (per-request read statistics count only the request's
-/// own round's wetlab work).
-#[derive(Default)]
-struct BatchCtx {
-    job_index: BTreeMap<(usize, u64), usize>,
-    decoded: Vec<BlockDecodeOutcome>,
-    job_round: Vec<usize>,
-    round_reads: Vec<usize>,
+    log: Option<LogSnapshot>,
 }
 
 impl BlockStore {
@@ -2097,39 +1818,8 @@ impl BlockStore {
         requests: &[(PartitionId, u64)],
         planner: &BatchPlanner,
     ) -> Result<BatchReadOutcome, StoreError> {
-        // Snapshot phase: one consistent cut per touched shard, taken in
-        // ascending pid order, log last. DedicatedLog shards stay locked
-        // until the log is snapshotted so every (shard, log) pair is
-        // atomic — an update holds its target shard across its whole log
-        // append, so a pair taken under the shard lock is either entirely
-        // pre-update or entirely post-update (never post-update bytes
-        // with a pre-update epoch). Everything after runs lock-free.
         let pids: BTreeSet<usize> = requests.iter().map(|&(pid, _)| pid.0).collect();
-        let mut cells = Vec::with_capacity(pids.len());
-        for &pid in &pids {
-            cells.push((pid, self.shard_cell(pid)?));
-        }
-        let log = self.log_cell();
-        let mut snaps: BTreeMap<usize, ShardSnapshot> = BTreeMap::new();
-        let mut log_needed = false;
-        let mut dl_guards: Vec<RankedMutexGuard<'_, PartitionShard>> = Vec::new();
-        for (pid, cell) in &cells {
-            let mut shard = Self::lock_shard(cell);
-            snaps.insert(*pid, shard.snapshot_state(*pid));
-            if shard.partition.config().layout == UpdateLayout::DedicatedLog {
-                log_needed = true;
-                if log.as_ref().is_some_and(|&(log_pid, _)| log_pid != *pid) {
-                    dl_guards.push(shard); // hold until the log snapshot
-                }
-            }
-        }
-        let log_snap = if log_needed {
-            log.as_ref()
-                .map(|(log_pid, log_cell)| Self::lock_shard(log_cell).log_state(*log_pid))
-        } else {
-            None
-        };
-        drop(dl_guards);
+        let (mut snaps, log_snap) = self.snapshot_reads(&pids)?;
         let shard_epochs: BTreeMap<PartitionId, u64> = snaps
             .iter()
             .map(|(&pid, snap)| (PartitionId(pid), snap.epoch))
@@ -2149,21 +1839,22 @@ impl BlockStore {
             }
         }
 
-        // Plan the rounds.
-        let log_pair = log_snap.as_ref().map(|l| l.partition.primers().clone());
-        let items = batch_plan_items(&by_partition, &snaps, log_pair.as_ref());
-        let plan = planner.plan(&items);
-        let mut stats = BatchStats {
-            rounds: plan.num_rounds(),
-            ..BatchStats::default()
-        };
-
-        // Assembly metadata, captured before snapshots move into rounds.
+        // Plan the rounds. Interpretation metadata is captured before the
+        // snapshots move into rounds.
         let partitions: BTreeMap<usize, Arc<Partition>> = snaps
             .iter()
             .map(|(&pid, s)| (pid, Arc::clone(&s.partition)))
             .collect();
-        let log_info = log_snap.as_ref().map(|l| (l.pid, l.head));
+        let log_pair = log_snap.as_ref().map(|l| l.partition.primers().clone());
+        let plan = planner.plan(&plan_items_from(
+            &by_partition,
+            &partitions,
+            log_pair.as_ref(),
+        ));
+        let mut stats = BatchStats {
+            rounds: plan.num_rounds(),
+            ..BatchStats::default()
+        };
         let round_of: BTreeMap<usize, usize> = plan
             .rounds
             .iter()
@@ -2173,8 +1864,8 @@ impl BlockStore {
 
         // The shared log rides in at most one reaction per batch call: the
         // first round containing a DedicatedLog partition carries it;
-        // later rounds reuse its decoded entries at assembly. A log that
-        // compaction folded back to empty never enters any tube.
+        // later rounds reuse its decoded entries at interpretation. A log
+        // that compaction folded back to empty never enters any tube.
         let carrier = plan.rounds.iter().position(|round| {
             round
                 .items
@@ -2188,15 +1879,10 @@ impl BlockStore {
                 .iter()
                 .map(|p| snaps.remove(p).expect("each pid in exactly one round"))
                 .collect();
-            let log = match (&log_snap, carrier == Some(r)) {
-                (Some(l), true) if l.head > 0 => Some(LogDuty {
-                    pid: l.pid,
-                    partition: Arc::clone(&l.partition),
-                    tube: Arc::clone(&l.tube),
-                    head: l.head,
-                }),
-                _ => None,
-            };
+            let log = log_snap
+                .as_ref()
+                .filter(|l| carrier == Some(r) && l.head > 0)
+                .cloned();
             inputs.push(RoundInput { shards, log });
         }
 
@@ -2228,33 +1914,50 @@ impl BlockStore {
         };
 
         // Merge in round order (deterministic regardless of scheduling).
-        let mut ctx = BatchCtx::default();
+        let mut decoded = Decoded::default();
+        let mut round_reads = Vec::with_capacity(outputs.len());
         for (r, out) in outputs.into_iter().enumerate() {
             stats.primer_pairs += out.primer_pairs;
             stats.reads_sequenced += out.reads_sequenced;
-            stats.decode_jobs += out.jobs.len();
-            ctx.round_reads.push(out.reads_sequenced);
-            for (key, outcome) in out.jobs.into_iter().zip(out.outcomes) {
-                stats.reads_matched += outcome.reads_matched;
-                let idx = ctx.decoded.len();
-                ctx.decoded.push(outcome);
-                ctx.job_round.push(r);
-                ctx.job_index.insert(key, idx);
-            }
+            stats.decode_jobs += out.keys.len();
+            stats.reads_matched += out.outcomes.iter().map(|o| o.reads_matched).sum::<usize>();
+            round_reads.push(out.reads_sequenced);
+            decoded.merge(r, out);
         }
 
-        // Assemble per-request outcomes from the merged decode state.
+        // Interpret every request against the merged decode state. The
+        // plan scheduled everything metadata knows, so a request that
+        // still needs a leaf (a decoded pointer naming a leaf nobody
+        // scheduled) or the log fails loudly instead of taking a round.
+        // Per-request statistics count only the request's own round.
         for (&p, wants) in &by_partition {
             let my_round = round_of[&p];
+            let round_stats = ReadProtocolStats {
+                pcr_rounds: 1,
+                reads_sequenced: round_reads[my_round],
+                reads_matched: 0,
+                clusters_used: 0,
+            };
             for &(req_idx, block) in wants {
-                outcomes[req_idx] = Some(assemble_batch_outcome(
-                    &partitions[&p],
-                    p,
-                    block,
-                    my_round,
-                    &ctx,
-                    log_info,
-                ));
+                let request = (p, &*partitions[&p], block);
+                let step = interpret(
+                    request,
+                    log_snap.as_ref(),
+                    &decoded,
+                    Some(my_round),
+                    round_stats,
+                );
+                outcomes[req_idx] = Some(step.and_then(|step| match step {
+                    Step::Done(outcome) => Ok(outcome),
+                    Step::Leaf(leaf) => Err(StoreError::DecodeFailed {
+                        block,
+                        reason: format!("leaf {leaf} was not decoded in this batch"),
+                    }),
+                    Step::Log => Err(StoreError::DecodeFailed {
+                        block,
+                        reason: "shared log was not decoded in this batch".to_string(),
+                    }),
+                }));
             }
         }
         stats.wasted_reads = stats.reads_sequenced.saturating_sub(stats.reads_matched);
@@ -2295,14 +1998,8 @@ impl BlockStore {
                 by_partition.entry(pid.0).or_default().push((i, block));
             }
         }
-        let log_pair = if partitions
-            .values()
-            .any(|p| p.config().layout == UpdateLayout::DedicatedLog)
-        {
-            self.log_snapshot().map(|l| l.partition.primers().clone())
-        } else {
-            None
-        };
+        // Only DedicatedLog items take the log pair (see `plan_items_from`).
+        let log_pair = self.log_snapshot().map(|l| l.partition.primers().clone());
         Ok(planner.plan(&plan_items_from(
             &by_partition,
             &partitions,
@@ -2313,18 +2010,6 @@ impl BlockStore {
 
 /// One [`PlanItem`] per touched partition (a DedicatedLog partition drags
 /// the shared log pair into its item).
-fn batch_plan_items(
-    by_partition: &BTreeMap<usize, Vec<(usize, u64)>>,
-    snaps: &BTreeMap<usize, ShardSnapshot>,
-    log_pair: Option<&PrimerPair>,
-) -> Vec<PlanItem> {
-    let partitions: BTreeMap<usize, Arc<Partition>> = snaps
-        .iter()
-        .map(|(&pid, s)| (pid, Arc::clone(&s.partition)))
-        .collect();
-    plan_items_from(by_partition, &partitions, log_pair)
-}
-
 fn plan_items_from(
     by_partition: &BTreeMap<usize, Vec<(usize, u64)>>,
     partitions: &BTreeMap<usize, Arc<Partition>>,
@@ -2344,44 +2029,45 @@ fn plan_items_from(
         .collect()
 }
 
-/// Runs one multiplex round against its snapshots: pipette the round's
-/// tubes into one reaction, amplify every target in it, sequence once,
-/// and decode all leaves in parallel. Lock-free — the caller merged this
-/// round's partitions from per-shard snapshots.
+/// Runs one batched round: plans it from metadata, then executes it
+/// against the round's snapshot tubes with the first shard's RNG stream.
 fn run_round(
     instruments: &Instruments,
     mut input: RoundInput,
     by_partition: &BTreeMap<usize, Vec<(usize, u64)>>,
     decode_threads: usize,
 ) -> RoundOutput {
-    // The reaction tube: undiluted aliquots of exactly this round's tubes.
-    let mut reaction = Pool::new();
-    for snap in &input.shards {
-        reaction.mix_in(&snap.tube, 1.0, 1.0);
-    }
-    if let Some(log) = &input.log {
-        reaction.mix_in(&log.tube, 1.0, 1.0);
-    }
-    let budget = reaction.total_copies() * 20.0;
+    let plan = plan_batch_round(&input, by_partition);
+    let tubes: Vec<Arc<Pool>> = input
+        .shards
+        .iter()
+        .map(|s| Arc::clone(&s.tube))
+        .chain(input.log.as_ref().map(|l| Arc::clone(&l.tube)))
+        .collect();
+    execute_round(
+        instruments,
+        &tubes,
+        plan,
+        &mut input.shards[0].rng,
+        decode_threads,
+    )
+}
 
-    // (weighted forward scope, reverse primer, encoding units covered)
-    // per channel; budgets are assigned after the total unit count is
-    // known so per-unit amplification stays even across channels.
-    let mut pending: Vec<ChannelSpec> = Vec::new();
-    let mut expected_units = 0usize;
-    let mut jobs: Vec<DecodeJob> = Vec::new();
-    let mut job_keys: Vec<(usize, u64)> = Vec::new();
-    let mut job_index: BTreeMap<(usize, u64), usize> = BTreeMap::new();
-    // Per channel: the main forward primer (software demultiplex key) and
-    // the contiguous range of `jobs` belonging to the channel.
-    let mut channel_fwd: Vec<DnaSeq> = Vec::new();
-    let mut channel_jobs: Vec<std::ops::Range<usize>> = Vec::new();
-
+/// Plans one batched round from metadata alone, so a single pass always
+/// suffices: each partition's requested blocks (contiguous runs covered by
+/// §3.1 prefix primers), every committed chain leaf, the TwoStacks update
+/// region, and — in the carrier round — the whole shared log.
+///
+/// Sequencing depth is provisioned per encoding unit, counted from the
+/// update metadata rather than a flat per-block constant, so
+/// heavily-updated blocks keep their per-unit coverage.
+fn plan_batch_round(
+    input: &RoundInput,
+    by_partition: &BTreeMap<usize, Vec<(usize, u64)>>,
+) -> RoundPlan {
+    let mut plan = RoundPlan::default();
     for snap in &input.shards {
-        let p = snap.pid;
-        let partition = &snap.partition;
-        let channel_start = jobs.len();
-        let rev = partition.primers().reverse().clone();
+        let (p, partition) = (snap.pid, &*snap.partition);
         let mut blocks: Vec<u64> = by_partition[&p].iter().map(|&(_, b)| b).collect();
         blocks.sort_unstable();
         blocks.dedup();
@@ -2398,129 +2084,180 @@ fn run_round(
             prev = b;
         }
         scope.extend(partition.range_prefixes_weighted(run_start, prev));
-        // Every decode is pinned to the version slots the metadata says
-        // are live at that leaf (see [`Partition::live_version_slots`]):
-        // noise claiming a dead version base never decodes into a phantom
-        // patch, and a live slot that fails to decode is a reportable
-        // hole.
-        let mut add_job =
-            |jobs: &mut Vec<DecodeJob>, job_keys: &mut Vec<(usize, u64)>, leaf: u64| {
-                job_index.entry((p, leaf)).or_insert_with(|| {
-                    jobs.push(DecodeJob {
-                        prefix: partition.elongated_primer(leaf),
-                        reverse: rev.clone(),
-                        config: partition
-                            .decode_config_versions(leaf, &partition.live_version_slots(leaf)),
-                    });
-                    job_keys.push((p, leaf));
-                    jobs.len() - 1
-                });
-            };
         for &b in &blocks {
-            add_job(&mut jobs, &mut job_keys, b);
+            plan.decode_live(p, partition, b);
         }
-        // Update scope: committed chain leaves / the TwoStacks update
-        // region come along in the same tube (DedicatedLog patches live
-        // in the shared log partition, handled once per batch below).
-        // Sequencing depth is provisioned per encoding unit, counted
-        // from the update metadata rather than a flat per-block
-        // constant, so heavily-updated blocks keep their per-unit
-        // coverage.
-        let channel_units = match partition.config().layout {
+        let chain_leaves = || {
+            let mut leaves: Vec<u64> = blocks
+                .iter()
+                .flat_map(|&b| partition.chain_of(b).iter().copied())
+                .collect();
+            leaves.sort_unstable();
+            leaves.dedup();
+            leaves
+        };
+        let units = match partition.config().layout {
             UpdateLayout::Interleaved { .. } => {
-                // Units per block: the original plus every patch
-                // (`writes_of`) plus one pointer unit per chain hop,
-                // floored at the 2 units/block the range path budgets.
-                let units = blocks
+                // The original plus every patch (`writes_of`) plus one
+                // pointer unit per chain hop, floored at the 2 units/block
+                // the range path budgets; chain leaves ride along.
+                for leaf in chain_leaves() {
+                    scope.push((partition.elongated_primer(leaf), 1.0));
+                    plan.decode_live(p, partition, leaf);
+                }
+                blocks
                     .iter()
                     .map(|&b| {
                         (partition.writes_of(b) as usize + partition.chain_of(b).len()).max(2)
                     })
-                    .sum::<usize>();
-                let mut chain: Vec<u64> = blocks
-                    .iter()
-                    .flat_map(|&b| partition.chain_of(b).iter().copied())
-                    .collect();
-                chain.sort_unstable();
-                chain.dedup();
-                for &leaf in &chain {
-                    scope.push((partition.elongated_primer(leaf), 1.0));
-                    add_job(&mut jobs, &mut job_keys, leaf);
-                }
-                units
+                    .sum::<usize>()
             }
             UpdateLayout::TwoStacks => {
-                let mut units = blocks.len() * 2;
-                let stack = partition.stack_update_count();
+                let stack = partition.stack_update_count() as usize;
                 if stack > 0 {
-                    let lo = partition.num_leaves() - stack;
-                    let hi = partition.num_leaves() - 1;
-                    scope.extend(partition.range_prefixes_weighted(lo, hi));
-                    let mut leaves: Vec<u64> = blocks
-                        .iter()
-                        .flat_map(|&b| partition.chain_of(b).iter().copied())
-                        .collect();
-                    leaves.sort_unstable();
-                    leaves.dedup();
-                    for &leaf in &leaves {
-                        add_job(&mut jobs, &mut job_keys, leaf);
+                    scope.extend(update_region(partition));
+                    for leaf in chain_leaves() {
+                        plan.decode_live(p, partition, leaf);
                     }
-                    units += stack as usize;
                 }
-                units
+                blocks.len() * 2 + stack
             }
+            // Patches live in the shared log, scheduled once per batch.
             UpdateLayout::DedicatedLog => blocks.len() * 2,
         };
-        expected_units += channel_units;
-        pending.push(ChannelSpec {
-            scope,
-            reverse: rev,
-            units: channel_units,
-        });
-        channel_fwd.push(partition.primers().forward().clone());
-        channel_jobs.push(channel_start..jobs.len());
+        plan.channel(partition, scope, units);
     }
-    // The carrier round amplifies and decodes the whole shared log once;
-    // other rounds' assemblies reuse the outcomes.
     if let Some(log) = &input.log {
-        let channel_start = jobs.len();
-        let log_fwd = log.partition.scope_primer();
-        let log_rev = log.partition.primers().reverse().clone();
-        for leaf in 0..log.head {
-            job_index.entry((log.pid, leaf)).or_insert_with(|| {
-                jobs.push(DecodeJob {
-                    prefix: log.partition.elongated_primer(leaf),
-                    reverse: log_rev.clone(),
-                    config: log
-                        .partition
-                        .decode_config_versions(leaf, &[VersionSlot(0)]),
-                });
-                job_keys.push((log.pid, leaf));
-                jobs.len() - 1
+        plan.log_channel(log);
+    }
+    plan
+}
+
+// ----- the retrieval-round executor ----------------------------------------
+
+/// One channel of a planned round: the pair's main forward primer (its
+/// software demultiplex key), the weighted forward scope, the reverse
+/// primer, the encoding units it covers, and its slice of the round's
+/// decode jobs.
+struct ChannelSpec {
+    forward: DnaSeq,
+    scope: Vec<(DnaSeq, f64)>,
+    reverse: DnaSeq,
+    units: usize,
+    jobs: Range<usize>,
+}
+
+/// One planned multiplex round: its channels and the leaves to decode from
+/// its reads, keyed by `(pid, leaf)`. A leaf is scheduled at most once per
+/// round, by whichever channel asks first.
+#[derive(Default)]
+struct RoundPlan {
+    channels: Vec<ChannelSpec>,
+    jobs: Vec<DecodeJob>,
+    keys: Vec<(usize, u64)>,
+    scheduled: BTreeSet<(usize, u64)>,
+}
+
+impl RoundPlan {
+    /// Schedules a decode of `leaf` pinned to `slots`: noise claiming any
+    /// other version base never decodes into a phantom patch.
+    fn decode(&mut self, pid: usize, partition: &Partition, leaf: u64, slots: &[VersionSlot]) {
+        if self.scheduled.insert((pid, leaf)) {
+            self.jobs.push(DecodeJob {
+                prefix: partition.elongated_primer(leaf),
+                reverse: partition.primers().reverse().clone(),
+                config: partition.decode_config_versions(leaf, slots),
             });
+            self.keys.push((pid, leaf));
         }
-        let units = log.head as usize + 1;
-        expected_units += units;
-        pending.push(ChannelSpec {
-            scope: vec![(log_fwd, units as f64)],
-            reverse: log_rev,
-            units,
-        });
-        channel_fwd.push(log.partition.primers().forward().clone());
-        channel_jobs.push(channel_start..jobs.len());
     }
 
-    // Each channel's primer budget is proportional to its share of the
-    // units in scope (scaled so a single-channel round gets exactly the
-    // sequential path's budget): the sequencing pass samples the tube
-    // by abundance, so equal budgets would starve large-scope channels
-    // of per-unit read depth.
+    /// Schedules a decode of `leaf` pinned to the version slots the
+    /// metadata says are live there ([`Partition::live_version_slots`]),
+    /// so a live slot that fails to decode is a reportable hole.
+    fn decode_live(&mut self, pid: usize, partition: &Partition, leaf: u64) {
+        self.decode(pid, partition, leaf, &partition.live_version_slots(leaf));
+    }
+
+    /// Schedules every shared-log entry and closes the log's channel: the
+    /// whole log is amplified from its scope primer (§5.3, Fig. 6).
+    fn log_channel(&mut self, log: &LogSnapshot) {
+        for leaf in 0..log.head {
+            self.decode(log.pid, &log.partition, leaf, &[VersionSlot(0)]);
+        }
+        let units = log.head as usize + 1;
+        let scope = vec![(log.partition.scope_primer(), units as f64)];
+        self.channel(&log.partition, scope, units);
+    }
+
+    /// Closes a channel on `partition`'s primer pair over the jobs
+    /// scheduled since the previous channel.
+    fn channel(&mut self, partition: &Partition, scope: Vec<(DnaSeq, f64)>, units: usize) {
+        let start = self.channels.last().map_or(0, |c| c.jobs.end);
+        self.channels.push(ChannelSpec {
+            forward: partition.primers().forward().clone(),
+            scope,
+            reverse: partition.primers().reverse().clone(),
+            units,
+            jobs: start..self.jobs.len(),
+        });
+    }
+}
+
+/// What one executed round hands back: decode outcomes in submission
+/// order with their `(pid, leaf)` keys, plus round-level counts.
+struct RoundOutput {
+    keys: Vec<(usize, u64)>,
+    outcomes: Vec<BlockDecodeOutcome>,
+    reads_sequenced: usize,
+    primer_pairs: usize,
+}
+
+/// Splits one reaction's forward-primer budget across a weighted scope so
+/// every covered leaf amplifies evenly (§3.2's concentration invariant).
+fn weighted_forward_primers(scope: &[(DnaSeq, f64)], budget: f64) -> Vec<PcrPrimer> {
+    let total_weight: f64 = scope.iter().map(|(_, w)| w.max(1e-9)).sum();
+    scope
+        .iter()
+        .map(|(p, w)| PcrPrimer::with_budget(p.clone(), budget * w.max(1e-9) / total_weight))
+        .collect()
+}
+
+/// The store's one retrieval engine: executes a planned round against
+/// snapshot tubes, lock-free. It pipettes undiluted aliquots of `tubes`
+/// into one reaction, runs one multiplex PCR, sequences the product once
+/// from `rng`, routes the reads to their channels and decodes every
+/// scheduled leaf on up to `decode_threads` threads.
+fn execute_round(
+    instruments: &Instruments,
+    tubes: &[Arc<Pool>],
+    plan: RoundPlan,
+    rng: &mut DetRng,
+    decode_threads: usize,
+) -> RoundOutput {
+    let RoundPlan {
+        channels: specs,
+        jobs,
+        keys,
+        ..
+    } = plan;
+    let mut reaction = Pool::new();
+    for tube in tubes {
+        reaction.mix_in(tube, 1.0, 1.0);
+    }
+    // The primer budget is 20× the reaction's template count, so cycles
+    // end in template competition rather than primer exhaustion. Each
+    // channel's share is proportional to its share of the units in scope
+    // (scaled so a single-channel round gets the whole budget): the
+    // sequencing pass samples the tube by abundance, so equal budgets
+    // would starve large-scope channels of per-unit read depth.
+    let budget = reaction.total_copies() * 20.0;
+    let expected_units: usize = specs.iter().map(|spec| spec.units).sum();
     let total_units = expected_units.max(1) as f64;
-    let channels: Vec<PrimerChannel> = pending
+    let channels: Vec<PrimerChannel> = specs
         .iter()
         .map(|spec| {
-            let channel_budget =
-                budget * (spec.units as f64) * (pending.len() as f64) / total_units;
+            let channel_budget = budget * (spec.units as f64) * (specs.len() as f64) / total_units;
             PrimerChannel {
                 forward_primers: weighted_forward_primers(&spec.scope, channel_budget),
                 reverse_primer: PcrPrimer::with_budget(spec.reverse.clone(), channel_budget),
@@ -2528,14 +2265,13 @@ fn run_round(
         })
         .collect();
     let primer_pairs = channels.len();
-
     let rxn = MultiplexPcrReaction {
         channels,
         protocol: PcrProtocol::paper_block_access(),
     };
     let amplified = rxn.run(&reaction);
-    let n_reads = instruments.reads_to_sequence(expected_units);
-    let rng = &mut input.shards[0].rng;
+    // 15 strands per unit in scope, each at the configured coverage.
+    let n_reads = expected_units.max(1) * 15 * instruments.coverage;
     let reads = instruments
         .sequencer
         .sequence(&amplified.pool, n_reads, rng);
@@ -2548,7 +2284,7 @@ fn run_round(
     // every job's own prefix filter, so outcomes are bit-identical to the
     // unrouted path.
     let mut outcomes = Vec::with_capacity(jobs.len());
-    if channel_jobs.len() <= 1 {
+    if specs.len() <= 1 {
         decode_jobs_parallel_into(
             &reads,
             &jobs,
@@ -2557,29 +2293,28 @@ fn run_round(
             &mut outcomes,
         );
     } else {
-        let keys: Vec<ChannelPrimer> = channel_fwd
+        let routes: Vec<ChannelPrimer> = specs
             .iter()
-            .zip(&channel_jobs)
-            .map(|(fwd, range)| {
+            .map(|spec| {
                 // A channel's job range can be empty: the log channel
                 // dedups against jobs already registered by a data
                 // channel (a caller batch-reading the log partition's own
                 // leaves alongside a DedicatedLog partition). Its bucket
                 // is then simply never decoded — any tolerance works.
                 let tolerance = jobs
-                    .get(range.start)
+                    .get(spec.jobs.start)
                     .map_or(0, |job| job.config.filter_max_edit);
                 ChannelPrimer {
-                    forward: fwd.clone(),
+                    forward: spec.forward.clone(),
                     tolerance,
                 }
             })
             .collect();
-        let buckets = demux_reads(&reads, &keys);
-        for (range, bucket) in channel_jobs.iter().zip(&buckets) {
+        let buckets = demux_reads(&reads, &routes);
+        for (spec, bucket) in specs.iter().zip(&buckets) {
             decode_jobs_parallel_into(
                 bucket,
-                &jobs[range.clone()],
+                &jobs[spec.jobs.clone()],
                 unit_checksum_ok,
                 decode_threads,
                 &mut outcomes,
@@ -2587,120 +2322,194 @@ fn run_round(
         }
     }
     RoundOutput {
-        jobs: job_keys,
+        keys,
         outcomes,
         reads_sequenced: reads.len(),
         primer_pairs,
     }
 }
 
-/// Reconstructs one requested block from the batch's merged decode state,
-/// mirroring the layout-specific single-read paths. Per-request read
-/// statistics count only the request's own round's wetlab work, so leaves
-/// reused from another round (the shared log) contribute their patches but
-/// not their matched-read counts — `reads_matched` stays consistent with
-/// `reads_sequenced`.
-fn assemble_batch_outcome(
-    partition: &Partition,
-    p: usize,
-    block: u64,
-    my_round: usize,
-    ctx: &BatchCtx,
-    log_info: Option<(usize, u64)>,
-) -> Result<BlockReadOutcome, StoreError> {
-    let origin = &ctx.decoded[ctx.job_index[&(p, block)]];
-    let mut stats = ReadProtocolStats {
-        pcr_rounds: 1,
-        reads_sequenced: ctx.round_reads[my_round],
-        reads_matched: origin.reads_matched,
-        clusters_used: origin.clusters_used,
+// ----- per-layout planning and interpretation ------------------------------
+
+/// One requested block: `(pid, partition, block)`.
+type Request<'a> = (usize, &'a Partition, u64);
+
+/// Plans the sequential reader's next data round for a request, from
+/// what the paper's reader knows before decoding anything (§5.3):
+/// Interleaved amplifies just `leaf` — the block, then each leaf a decoded
+/// pointer names — at 4 units per hop; TwoStacks amplifies the block plus
+/// the whole used update region (Fig. 7's cost), its own update leaves
+/// known from metadata; DedicatedLog amplifies the block alone at 2 units,
+/// its patches coming from a separate log round.
+fn plan_sequential_round((p, partition, block): Request<'_>, leaf: u64) -> RoundPlan {
+    let mut plan = RoundPlan::default();
+    plan.decode_live(p, partition, leaf);
+    let mut scope = vec![(partition.elongated_primer(leaf), 1.0)];
+    let units = match partition.config().layout {
+        UpdateLayout::Interleaved { .. } => 4,
+        UpdateLayout::TwoStacks => {
+            for &update_leaf in partition.chain_of(block) {
+                plan.decode_live(p, partition, update_leaf);
+            }
+            scope.extend(update_region(partition));
+            1 + partition.stack_update_count() as usize
+        }
+        UpdateLayout::DedicatedLog => 2,
     };
+    plan.channel(partition, scope, units);
+    plan
+}
+
+/// Weighted §3.1 prefixes covering the TwoStacks update region in use
+/// (none while the stack is empty).
+fn update_region(partition: &Partition) -> Vec<(DnaSeq, f64)> {
+    let stack = partition.stack_update_count();
+    if stack == 0 {
+        return Vec::new();
+    }
+    let end = partition.num_leaves();
+    partition.range_prefixes_weighted(end - stack, end - 1)
+}
+
+/// Decoded leaves merged across executed rounds, keyed by `(pid, leaf)`,
+/// each with the round that produced it. A leaf decoded again by a later
+/// round keeps the later outcome.
+#[derive(Default)]
+struct Decoded(BTreeMap<(usize, u64), (usize, BlockDecodeOutcome)>);
+
+impl Decoded {
+    fn merge(&mut self, round: usize, out: RoundOutput) {
+        for (key, outcome) in out.keys.into_iter().zip(out.outcomes) {
+            self.0.insert(key, (round, outcome));
+        }
+    }
+
+    /// The decoded leaf `key`, if any round decoded it. Its matched reads
+    /// are added to `matched` when it came from `own_round` (from any
+    /// round when `None`).
+    fn leaf(
+        &self,
+        key: (usize, u64),
+        own_round: Option<usize>,
+        matched: &mut usize,
+    ) -> Option<&BlockDecodeOutcome> {
+        let (round, outcome) = self.0.get(&key)?;
+        if own_round.is_none_or(|r| r == *round) {
+            *matched += outcome.reads_matched;
+        }
+        Some(outcome)
+    }
+}
+
+/// What the decoded leaves say about one requested block.
+enum Step {
+    /// Every unit the block needs has decoded: the patched block.
+    Done(BlockReadOutcome),
+    /// This leaf of the block's own partition must be decoded next.
+    Leaf(u64),
+    /// The shared log must be decoded next.
+    Log,
+}
+
+/// The per-layout interpreter both read drivers share. It walks the
+/// decoded leaves of a request and either assembles the block — the
+/// original plus every patch, in commit order — or names the leaf or log
+/// round still missing:
+///
+/// - Interleaved follows decoded pointers hop by hop, requiring every
+///   version slot the metadata says is live at each leaf;
+/// - TwoStacks takes the block's update leaves from metadata;
+/// - DedicatedLog scans the whole shared log once it holds entries.
+///
+/// `stats` arrives with the driver's round and read counts. The
+/// interpreter adds the matched reads of every leaf it uses (only those
+/// decoded in `own_round`, when given) and the block leaf's cluster count.
+fn interpret(
+    (p, partition, block): Request<'_>,
+    log: Option<&LogSnapshot>,
+    decoded: &Decoded,
+    own_round: Option<usize>,
+    mut stats: ReadProtocolStats,
+) -> Result<Step, StoreError> {
+    let mut matched = 0;
+    let Some(origin) = decoded.leaf((p, block), own_round, &mut matched) else {
+        return Ok(Step::Leaf(block));
+    };
+    let failed = |reason: String| StoreError::DecodeFailed { block, reason };
     let (original, patches) = match partition.config().layout {
         UpdateLayout::Interleaved { update_slots } => {
             let mut original = None;
             let mut patches = Vec::new();
-            let mut leaves = vec![block];
-            leaves.extend_from_slice(partition.chain_of(block));
-            for (hop, &leaf) in leaves.iter().enumerate() {
-                let outcome = &ctx.decoded[ctx.job_index[&(p, leaf)]];
-                if hop > 0 {
-                    stats.reads_matched += outcome.reads_matched;
-                }
-                // Every slot the metadata says is live here must have
-                // decoded — a missing one is a hole in the patch chain.
+            let mut visited = vec![block];
+            let (mut leaf, mut outcome) = (block, origin);
+            loop {
                 require_live_versions(outcome, &partition.live_version_slots(leaf), block, leaf)?;
+                let mut next = None;
                 for (base, v) in &outcome.versions {
                     let slot = VersionSlot::from_base(*base);
                     let content = Block::from_unit_bytes(&v.unit_bytes).map_err(|_| {
-                        StoreError::DecodeFailed {
-                            block,
-                            reason: format!("unit checksum at leaf {leaf} slot {}", slot.0),
-                        }
+                        failed(format!("unit checksum at leaf {leaf} slot {}", slot.0))
                     })?;
-                    if hop == 0 && slot.0 == 0 {
+                    if leaf == block && slot.0 == 0 {
                         original = Some(content);
                     } else if slot.0 == update_slots {
-                        // Pointer slot — the chain is already known from
-                        // metadata, nothing to follow.
+                        next =
+                            Some(parse_pointer_block(&content).ok_or_else(|| {
+                                failed(format!("malformed pointer at leaf {leaf}"))
+                            })?);
                     } else {
                         patches.push(UpdatePatch::from_block(&content)?);
                     }
                 }
+                let Some(target) = next else { break };
+                if visited.contains(&target) {
+                    return Err(failed(format!("pointer cycle at leaf {leaf}")));
+                }
+                visited.push(target);
+                leaf = target;
+                outcome = match decoded.leaf((p, leaf), own_round, &mut matched) {
+                    Some(outcome) => outcome,
+                    None => return Ok(Step::Leaf(leaf)),
+                };
             }
-            let original = original.ok_or(StoreError::DecodeFailed {
-                block,
-                reason: "original version missing".to_string(),
-            })?;
+            let original =
+                original.ok_or_else(|| failed("original version missing".to_string()))?;
             (original, patches)
         }
         UpdateLayout::TwoStacks => {
-            let (original, _) = interpret_interleaved(origin, block)?;
+            let original = decode_original(origin, block)?;
             let mut patches = Vec::new();
             for &leaf in partition.chain_of(block) {
-                let outcome = &ctx.decoded[ctx.job_index[&(p, leaf)]];
-                stats.reads_matched += outcome.reads_matched;
+                let Some(outcome) = decoded.leaf((p, leaf), own_round, &mut matched) else {
+                    return Ok(Step::Leaf(leaf));
+                };
                 let v = outcome
                     .versions
                     .get(&Base::A)
-                    .ok_or(StoreError::DecodeFailed {
-                        block,
-                        reason: format!("update leaf {leaf} unrecovered"),
-                    })?;
-                let content = Block::from_unit_bytes(&v.unit_bytes).map_err(|_| {
-                    StoreError::DecodeFailed {
-                        block,
-                        reason: format!("update unit at leaf {leaf}"),
-                    }
-                })?;
+                    .ok_or_else(|| failed(format!("update leaf {leaf} unrecovered")))?;
+                let content = Block::from_unit_bytes(&v.unit_bytes)
+                    .map_err(|_| failed(format!("update unit at leaf {leaf}")))?;
                 patches.push(UpdatePatch::from_block(&content)?);
             }
             (original, patches)
         }
         UpdateLayout::DedicatedLog => {
-            let (original, _) = interpret_interleaved(origin, block)?;
+            let original = decode_original(origin, block)?;
             let mut found: Vec<(u32, UpdatePatch)> = Vec::new();
-            if let Some((log_pid, head)) = log_info {
-                for leaf in 0..head {
-                    let Some(&job) = ctx.job_index.get(&(log_pid, leaf)) else {
-                        continue;
-                    };
-                    let outcome = &ctx.decoded[job];
-                    if ctx.job_round[job] == my_round {
-                        stats.reads_matched += outcome.reads_matched;
-                    }
-                    // An unrecovered log entry could hold a patch for
-                    // this very block: failing is the only answer that
-                    // never serves stale bytes.
-                    let v = outcome
-                        .versions
-                        .get(&Base::A)
-                        .ok_or(StoreError::DecodeFailed {
-                            block,
-                            reason: format!("log entry {leaf} unrecovered"),
-                        })?;
-                    if let Ok(content) = Block::from_unit_bytes(&v.unit_bytes) {
-                        found.extend(log_patch_for(&content, p as u32, block));
-                    }
+            let (log_pid, entries) = log.map_or((0, 0), |l| (l.pid, l.head));
+            for leaf in 0..entries {
+                let Some(outcome) = decoded.leaf((log_pid, leaf), own_round, &mut matched) else {
+                    return Ok(Step::Log);
+                };
+                // An unrecovered log entry could hold a patch for this
+                // very block: failing is the only answer that never
+                // serves stale bytes.
+                let v = outcome
+                    .versions
+                    .get(&Base::A)
+                    .ok_or_else(|| failed(format!("log entry {leaf} unrecovered")))?;
+                if let Ok(content) = Block::from_unit_bytes(&v.unit_bytes) {
+                    found.extend(log_patch_for(&content, p as u32, block));
                 }
             }
             found.sort_by_key(|&(seq, _)| seq);
@@ -2710,17 +2519,20 @@ fn assemble_batch_outcome(
             )
         }
     };
+    stats.reads_matched += matched;
+    stats.clusters_used = origin.clusters_used;
     let patches_applied = patches.len();
     let mut current = original;
     for patch in patches {
         current = patch.apply(&current)?;
     }
-    Ok(BlockReadOutcome {
+    Ok(Step::Done(BlockReadOutcome {
         block: current,
         patches_applied,
         stats,
-    })
+    }))
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2837,6 +2649,39 @@ mod tests {
         assert!(matches!(
             store.update_block(pid, 0, &[0u8; 10]),
             Err(StoreError::BlockNotWritten(0))
+        ));
+        let capacity = store.partition(pid).unwrap().num_leaves();
+        assert_eq!(
+            store.read_block(pid, capacity).unwrap_err(),
+            StoreError::BlockOutOfRange {
+                block: capacity,
+                capacity
+            }
+        );
+    }
+
+    #[test]
+    fn read_range_rejects_blocks_past_the_end_before_allocating() {
+        // An unbounded range must fail with the typed per-block error
+        // instead of materializing 2^64 requests.
+        let store = BlockStore::new(6);
+        let pid = store
+            .create_partition(PartitionConfig::paper_default(16))
+            .unwrap();
+        let capacity = store.partition(pid).unwrap().num_leaves();
+        for (lo, first_bad) in [(0, capacity), (capacity + 5, capacity + 5)] {
+            assert_eq!(
+                store.read_range(pid, lo, u64::MAX).unwrap_err(),
+                StoreError::BlockOutOfRange {
+                    block: first_bad,
+                    capacity
+                }
+            );
+        }
+        assert_eq!(store.read_range(pid, 5, 4).unwrap(), Vec::<Block>::new());
+        assert!(matches!(
+            store.read_range(PartitionId(9), 0, u64::MAX),
+            Err(StoreError::UnknownPartition(9))
         ));
     }
 
