@@ -2304,10 +2304,7 @@ fn execute_round(
                 let tolerance = jobs
                     .get(spec.jobs.start)
                     .map_or(0, |job| job.config.filter_max_edit);
-                ChannelPrimer {
-                    forward: spec.forward.clone(),
-                    tolerance,
-                }
+                ChannelPrimer::new(&spec.forward, tolerance)
             })
             .collect();
         let buckets = demux_reads(&reads, &routes);

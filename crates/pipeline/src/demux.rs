@@ -21,8 +21,8 @@
 //! unrouted path. Ambiguous reads (within tolerance of several channels —
 //! possible only under heavy noise) are given to every matching channel.
 
-use crate::decode::BlockDecodeConfig;
-use dna_seq::distance::levenshtein_bounded;
+use crate::filter::best_window;
+use dna_seq::distance::PrefixAligner;
 use dna_seq::DnaSeq;
 use dna_sim::Read;
 
@@ -30,39 +30,34 @@ use dna_sim::Read;
 /// tolerance its jobs filter with.
 #[derive(Debug, Clone)]
 pub struct ChannelPrimer {
-    /// The channel's main forward primer (the shared head of every
-    /// elongated prefix amplified through this channel).
-    pub forward: DnaSeq,
+    /// Aligner for the channel's main forward primer (the shared head of
+    /// every elongated prefix amplified through this channel).
+    forward: PrefixAligner,
     /// Edit tolerance, matching the channel's
-    /// [`BlockDecodeConfig::filter_max_edit`].
-    pub tolerance: usize,
+    /// [`crate::BlockDecodeConfig::filter_max_edit`].
+    tolerance: usize,
 }
 
 impl ChannelPrimer {
-    /// Builds the routing key for a channel from its forward primer and a
-    /// representative job configuration.
-    pub fn for_jobs(forward: DnaSeq, config: &BlockDecodeConfig) -> ChannelPrimer {
+    /// Builds the routing key for a channel from its main forward primer
+    /// and its jobs' edit tolerance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `forward` is longer than [`PrefixAligner::MAX_PATTERN`].
+    pub fn new(forward: &DnaSeq, tolerance: usize) -> ChannelPrimer {
         ChannelPrimer {
-            forward,
-            tolerance: config.filter_max_edit,
+            forward: PrefixAligner::new(forward.as_slice()),
+            tolerance,
         }
     }
 
     /// Whether `read` plausibly starts with this channel's primer: some
-    /// window of the read's head lies within the edit tolerance. Mirrors
-    /// the window scan of the decode-time read filter, restricted to the
-    /// primer region.
+    /// window of the read's head lies within the edit tolerance — the
+    /// decode-time read filter's window scan, restricted to the primer
+    /// region.
     fn matches(&self, read: &DnaSeq) -> bool {
-        let n = self.forward.len();
-        let lo = n.saturating_sub(self.tolerance);
-        let hi = (n + self.tolerance).min(read.len());
-        for w in lo..=hi {
-            let window = &read.as_slice()[..w];
-            if levenshtein_bounded(self.forward.as_slice(), window, self.tolerance).is_some() {
-                return true;
-            }
-        }
-        false
+        best_window(&self.forward, read.iter(), self.tolerance).is_some()
     }
 }
 
@@ -106,16 +101,7 @@ mod tests {
     fn routes_noisy_reads_to_their_channel() {
         let a = primer(1);
         let b = primer(2);
-        let channels = [
-            ChannelPrimer {
-                forward: a.clone(),
-                tolerance: 3,
-            },
-            ChannelPrimer {
-                forward: b.clone(),
-                tolerance: 3,
-            },
-        ];
+        let channels = [ChannelPrimer::new(&a, 3), ChannelPrimer::new(&b, 3)];
         let mut rng = DetRng::seed_from_u64(9);
         let ch = IdsChannel::illumina();
         let reads: Vec<Read> = (0..100)
@@ -157,7 +143,7 @@ mod tests {
             truth: None,
         }));
         let cfg = BlockDecodeConfig::paper_default(7, 531);
-        let channels = [ChannelPrimer::for_jobs(fwd.clone(), &cfg)];
+        let channels = [ChannelPrimer::new(&fwd, cfg.filter_max_edit)];
         let buckets = demux_reads(&reads, &channels);
         assert!(buckets[0].len() >= 55 && buckets[0].len() <= 70);
         let mut prefix = fwd.clone();

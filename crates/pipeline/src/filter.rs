@@ -1,7 +1,7 @@
 //! Read filtering: locate primers, extract the interior (§8 step 1).
 
-use dna_seq::distance::levenshtein_bounded;
-use dna_seq::DnaSeq;
+use dna_seq::distance::{levenshtein_bounded, PrefixAligner};
+use dna_seq::{Base, DnaSeq};
 
 /// Extracts the interior of reads that carry the expected forward prefix and
 /// reverse-primer site, tolerating IDS noise in the primer regions.
@@ -9,10 +9,17 @@ use dna_seq::DnaSeq;
 /// §8 step 1: "We first search for the elongated forward primer and reverse
 /// primer of our target block in our reads and extract the substring between
 /// them as the payloads."
+///
+/// Both primer searches run on a [`PrefixAligner`] built once here, so each
+/// costs one bit-parallel pass over the read's head or (reversed) tail.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadFilter {
     fwd: DnaSeq,
-    rev_site: DnaSeq,
+    fwd_aligner: PrefixAligner,
+    /// Aligner for the reverse site read backwards, matched against the
+    /// read's tail read backwards (edit distance is unchanged when both
+    /// strings are reversed).
+    rev_site_aligner: PrefixAligner,
     max_edit: usize,
     /// Optional `(len, tolerance)` strict check on the prefix tail.
     tail_check: Option<(usize, usize)>,
@@ -26,10 +33,18 @@ impl ReadFilter {
     ///
     /// `max_edit` is the per-primer edit tolerance (2 is a good default for
     /// Illumina-grade noise over 20–31-base primers).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either primer is longer than
+    /// [`PrefixAligner::MAX_PATTERN`] bases.
     pub fn new(fwd: DnaSeq, rev_primer: &DnaSeq, max_edit: usize) -> ReadFilter {
         ReadFilter {
+            fwd_aligner: PrefixAligner::new(fwd.as_slice()),
+            // The reverse site (the primer's reverse complement) read
+            // backwards is the primer's complement.
+            rev_site_aligner: PrefixAligner::new(rev_primer.complement().as_slice()),
             fwd,
-            rev_site: rev_primer.reverse_complement(),
             max_edit,
             tail_check: None,
         }
@@ -54,10 +69,8 @@ impl ReadFilter {
     ) -> ReadFilter {
         assert!(tail_len <= fwd.len(), "tail longer than prefix");
         ReadFilter {
-            fwd,
-            rev_site: rev_primer.reverse_complement(),
-            max_edit,
             tail_check: Some((tail_len, tail_tolerance)),
+            ..ReadFilter::new(fwd, rev_primer, max_edit)
         }
     }
 
@@ -70,13 +83,22 @@ impl ReadFilter {
     /// forward prefix and the reverse site). Returns `None` if either
     /// primer region is beyond the edit tolerance.
     pub fn extract(&self, read: &DnaSeq) -> Option<DnaSeq> {
-        let start = self.match_prefix(read)?;
+        let start = best_window(
+            &self.fwd_aligner,
+            read.as_slice().iter().copied(),
+            self.max_edit,
+        )?;
         if let Some((tail_len, tol)) = self.tail_check {
             if !self.tail_matches(read, start, tail_len, tol) {
                 return None;
             }
         }
-        let end = self.match_suffix(read)?;
+        let end = read.len()
+            - best_window(
+                &self.rev_site_aligner,
+                read.as_slice().iter().rev().copied(),
+                self.max_edit,
+            )?;
         if start >= end {
             return None;
         }
@@ -100,50 +122,25 @@ impl ReadFilter {
         let window = &read.as_slice()[prefix_end - tail_len..prefix_end];
         levenshtein_bounded(expected, window, tol).is_some()
     }
+}
 
-    /// Best end-position of the forward prefix at the start of the read.
-    fn match_prefix(&self, read: &DnaSeq) -> Option<usize> {
-        let n = self.fwd.len();
-        let mut best: Option<(usize, usize)> = None; // (dist, end)
-        let lo = n.saturating_sub(self.max_edit);
-        let hi = (n + self.max_edit).min(read.len());
-        for w in lo..=hi {
-            let window = &read.as_slice()[..w];
-            if let Some(d) = levenshtein_bounded(self.fwd.as_slice(), window, self.max_edit) {
-                // Prefer smaller distance; among ties prefer window length
-                // closest to the primer length.
-                let tie = w.abs_diff(n);
-                match best {
-                    Some((bd, bend)) if (bd, bend.abs_diff(n)) <= (d, tie) => {}
-                    _ => best = Some((d, w)),
-                }
-            }
+/// Length of the best window at the start of `text` for the aligner's
+/// primer: windows within `max_edit` of the primer length, scored by edit
+/// distance (at most `max_edit`), ties going to the length closest to the
+/// primer's and then to the shortest.
+pub(crate) fn best_window(
+    aligner: &PrefixAligner,
+    text: impl IntoIterator<Item = Base>,
+    max_edit: usize,
+) -> Option<usize> {
+    let n = aligner.len();
+    let mut best: Option<(usize, usize)> = None; // (dist, window)
+    for (w, d) in aligner.windows(text, max_edit) {
+        if d <= max_edit && best.is_none_or(|(bd, bw)| (d, w.abs_diff(n)) < (bd, bw.abs_diff(n))) {
+            best = Some((d, w));
         }
-        best.map(|(_, end)| end)
     }
-
-    /// Best start-position of the reverse site at the end of the read.
-    fn match_suffix(&self, read: &DnaSeq) -> Option<usize> {
-        let n = self.rev_site.len();
-        let mut best: Option<(usize, usize)> = None; // (dist, start)
-        let lo = n.saturating_sub(self.max_edit);
-        let hi = (n + self.max_edit).min(read.len());
-        for w in lo..=hi {
-            let window = &read.as_slice()[read.len() - w..];
-            if let Some(d) = levenshtein_bounded(self.rev_site.as_slice(), window, self.max_edit) {
-                let tie = w.abs_diff(n);
-                match best {
-                    Some((bd, bstart))
-                        if {
-                            let bw = read.len() - bstart;
-                            (bd, bw.abs_diff(n)) <= (d, tie)
-                        } => {}
-                    _ => best = Some((d, read.len() - w)),
-                }
-            }
-        }
-        best.map(|(_, start)| start)
-    }
+    best.map(|(_, w)| w)
 }
 
 #[cfg(test)]

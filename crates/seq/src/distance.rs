@@ -97,66 +97,224 @@ pub fn levenshtein(a: &[Base], b: &[Base]) -> usize {
     prev[b.len()]
 }
 
+/// Band cells kept on the stack by [`levenshtein_bounded`]: bounds up to
+/// 32 (after clamping) never touch the allocator.
+const STACK_BAND: usize = 2 * 32 + 1;
+
 /// Banded Levenshtein distance with early exit: returns `None` if the
 /// distance exceeds `bound`. Runs in `O(bound · max(|a|,|b|))`, which is what
 /// makes clustering millions of reads tractable.
+///
+/// The band is a single row updated in place, kept on the stack for bounds
+/// up to 32, and the scan stops at the first row whose every band cell
+/// already exceeds `bound` (each alignment path crosses every row, and
+/// costs never decrease along a path).
 pub fn levenshtein_bounded(a: &[Base], b: &[Base], bound: usize) -> Option<usize> {
     let (n, m) = (a.len(), b.len());
+    // No edit distance exceeds the longer length, so this clamp changes no
+    // result; it keeps the band width `2·bound + 1` from overflowing.
+    let bound = bound.min(n.max(m));
     if n.abs_diff(m) > bound {
         return None;
     }
-    if n == 0 {
-        return (m <= bound).then_some(m);
-    }
-    if m == 0 {
-        return (n <= bound).then_some(n);
+    if n == 0 || m == 0 {
+        return Some(n.max(m));
     }
     const BIG: usize = usize::MAX / 2;
-    // Band of width 2*bound+1 around the diagonal.
     let width = 2 * bound + 1;
-    let mut prev = vec![BIG; width];
-    let mut cur = vec![BIG; width];
-    // prev corresponds to row i=0: cell (0, j) = j for |j - 0| <= bound.
-    for (k, slot) in prev.iter_mut().enumerate() {
-        // k indexes offset j - i + bound.
-        let j = k as isize - bound as isize;
-        if j >= 0 && (j as usize) <= m {
-            *slot = j as usize;
-        }
+    let mut stack = [BIG; STACK_BAND];
+    let mut heap = Vec::new();
+    let row: &mut [usize] = if width <= STACK_BAND {
+        &mut stack[..width]
+    } else {
+        heap.resize(width, BIG);
+        &mut heap
+    };
+    // `row[j + bound - i]` holds cell (i, j); row i = 0 is `D(0, j) = j`.
+    for (j, slot) in row[bound..].iter_mut().take(m + 1).enumerate() {
+        *slot = j;
     }
     for i in 1..=n {
-        cur.fill(BIG);
         let x = a[i - 1];
         let lo = i.saturating_sub(bound);
         let hi = (i + bound).min(m);
+        let mut left = BIG; // cell (i, j - 1)
+        let mut row_min = BIG;
         for j in lo..=hi {
-            let k = (j as isize - i as isize + bound as isize) as usize;
-            let mut best = BIG;
-            // Substitution / match: prev[(j-1) - (i-1) + bound] = prev[k]
-            if j >= 1 {
-                let diag = prev[k];
-                if diag < BIG {
-                    best = best.min(diag + usize::from(x != b[j - 1]));
-                }
-            } else if i >= 1 {
-                // j == 0 column: distance is i (delete all of a's prefix)
-                best = best.min(i);
-            }
-            // Deletion from a: (i-1, j) -> prev[k+1]
-            if k + 1 < width && prev[k + 1] < BIG {
-                best = best.min(prev[k + 1] + 1);
-            }
-            // Insertion into a: (i, j-1) -> cur[k-1]
-            if k >= 1 && cur[k - 1] < BIG {
-                best = best.min(cur[k - 1] + 1);
-            }
-            cur[k] = best;
+            let k = j + bound - i;
+            // Ascending k: row[k] still holds (i-1, j-1) and row[k + 1]
+            // still holds (i-1, j).
+            let cell = if j == 0 {
+                i
+            } else {
+                let up = row.get(k + 1).copied().unwrap_or(BIG);
+                (row[k] + usize::from(x != b[j - 1]))
+                    .min(up + 1)
+                    .min(left + 1)
+            };
+            row[k] = cell;
+            left = cell;
+            row_min = row_min.min(cell);
         }
-        std::mem::swap(&mut prev, &mut cur);
+        if row_min > bound {
+            return None;
+        }
     }
-    let k = (m as isize - n as isize + bound as isize) as usize;
-    let d = prev[k];
+    let d = row[m + bound - n];
     (d <= bound).then_some(d)
+}
+
+/// Myers' bit-vector edit distance from one fixed pattern of at most
+/// [`PrefixAligner::MAX_PATTERN`] bases to every prefix of a text.
+///
+/// Built once per pattern (a per-base match-mask table), it then reports
+/// `levenshtein(pattern, &text[..j])` for **every** `j` in a single pass
+/// of a few word operations per text base, allocating nothing. This is
+/// the global-start form of the algorithm (G. Myers, JACM 1999; H. Hyyrö's
+/// formulation): row 0 of the dynamic program is `D(0, j) = j`, which
+/// enters as a horizontal +1 carried into the pattern's first bit at each
+/// column. The window scans of the decode-time read filter, the
+/// per-round demultiplexer and the simulator's annealing model all run on
+/// it.
+///
+/// # Examples
+///
+/// ```
+/// use dna_seq::distance::{levenshtein, PrefixAligner};
+/// use dna_seq::DnaSeq;
+/// let primer: DnaSeq = "ACGTAC".parse().unwrap();
+/// let read: DnaSeq = "ACTACGGA".parse().unwrap();
+/// let aligner = PrefixAligner::new(primer.as_slice());
+/// let d: Vec<usize> = aligner.distances(read.iter()).collect();
+/// assert_eq!(d.len(), read.len() + 1);
+/// for (j, &dj) in d.iter().enumerate() {
+///     assert_eq!(dj, levenshtein(primer.as_slice(), &read.as_slice()[..j]));
+/// }
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PrefixAligner {
+    /// `peq[c]` has bit `i` set iff `pattern[i]` has code `c`.
+    peq: [u64; 4],
+    len: usize,
+}
+
+impl PrefixAligner {
+    /// Longest pattern the single-word kernel holds.
+    pub const MAX_PATTERN: usize = 64;
+
+    /// Builds the match-mask table for `pattern`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pattern` is longer than [`PrefixAligner::MAX_PATTERN`].
+    pub fn new(pattern: &[Base]) -> PrefixAligner {
+        assert!(
+            pattern.len() <= Self::MAX_PATTERN,
+            "pattern of {} bases exceeds the {}-base aligner word",
+            pattern.len(),
+            Self::MAX_PATTERN
+        );
+        let mut peq = [0u64; 4];
+        for (i, &base) in pattern.iter().enumerate() {
+            peq[usize::from(base.code())] |= 1 << i;
+        }
+        PrefixAligner {
+            peq,
+            len: pattern.len(),
+        }
+    }
+
+    /// The pattern length.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the pattern is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Yields `levenshtein(pattern, &text[..j])` for `j = 0, 1, …,
+    /// text.len()`, consuming one base of `text` per item after the first.
+    /// `text` may be any base iterator, e.g. a read's tail reversed.
+    pub fn distances<I: IntoIterator<Item = Base>>(&self, text: I) -> Distances<'_, I::IntoIter> {
+        Distances {
+            peq: &self.peq,
+            high: if self.len == 0 {
+                0
+            } else {
+                1 << (self.len - 1)
+            },
+            pv: !0,
+            mv: 0,
+            score: self.len,
+            started: false,
+            text: text.into_iter(),
+        }
+    }
+
+    /// The window scan of primer matching: `(w, levenshtein(pattern,
+    /// &text[..w]))` for every window length `w` within `slack` of the
+    /// pattern length that `text` is long enough for, shortest first.
+    pub fn windows<I: IntoIterator<Item = Base>>(
+        &self,
+        text: I,
+        slack: usize,
+    ) -> impl Iterator<Item = (usize, usize)> + use<'_, I> {
+        self.distances(text)
+            .enumerate()
+            .take(self.len.saturating_add(slack).saturating_add(1))
+            .skip(self.len.saturating_sub(slack))
+    }
+}
+
+/// Iterator returned by [`PrefixAligner::distances`].
+#[derive(Debug, Clone)]
+pub struct Distances<'a, I> {
+    peq: &'a [u64; 4],
+    /// Bit of the pattern's last base (0 for an empty pattern).
+    high: u64,
+    /// Vertical +1 / −1 deltas of the current column.
+    pv: u64,
+    mv: u64,
+    /// `D(len, j)` for the last column produced.
+    score: usize,
+    started: bool,
+    text: I,
+}
+
+impl<I: Iterator<Item = Base>> Iterator for Distances<'_, I> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if !self.started {
+            self.started = true;
+            return Some(self.score);
+        }
+        let base = self.text.next()?;
+        if self.high == 0 {
+            self.score += 1;
+            return Some(self.score);
+        }
+        let eq = self.peq[usize::from(base.code())];
+        let (pv, mv) = (self.pv, self.mv);
+        let xv = eq | mv;
+        let xh = ((eq & pv).wrapping_add(pv) ^ pv) | eq;
+        let ph = mv | !(xh | pv);
+        let mh = pv & xh;
+        if ph & self.high != 0 {
+            self.score += 1;
+        } else if mh & self.high != 0 {
+            self.score -= 1;
+        }
+        // Global start: the row-0 horizontal delta is +1 at every column.
+        let ph = (ph << 1) | 1;
+        let mh = mh << 1;
+        self.pv = mh | !(xv | ph);
+        self.mv = ph & xv;
+        Some(self.score)
+    }
 }
 
 #[cfg(test)]
@@ -237,6 +395,67 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn bounded_levenshtein_accepts_an_unbounded_bound() {
+        // `2 * bound + 1` used to overflow here; the clamp to the longer
+        // length makes any bound at least that large exact.
+        let a = s("ACGTACGTAC");
+        let b = s("TTGTACGA");
+        let full = levenshtein(a.as_slice(), b.as_slice());
+        assert_eq!(
+            levenshtein_bounded(a.as_slice(), b.as_slice(), usize::MAX),
+            Some(full)
+        );
+        assert_eq!(levenshtein_bounded(a.as_slice(), &[], usize::MAX), Some(10));
+        assert_eq!(levenshtein_bounded(&[], &[], usize::MAX), Some(0));
+    }
+
+    #[test]
+    fn bounded_levenshtein_wide_bands_leave_the_stack() {
+        // Bounds above 32 need more band cells than the stack row holds.
+        let mut rng = crate::rng::DetRng::seed_from_u64(3);
+        let mut random =
+            |n: usize| DnaSeq::from_bases((0..n).map(|_| Base::from_code(rng.gen_range(4) as u8)));
+        for (n, m) in [(90, 100), (100, 60), (70, 70)] {
+            let (a, b) = (random(n), random(m));
+            let full = levenshtein(a.as_slice(), b.as_slice());
+            for bound in [32, 33, 40, full - 1, full, 200, usize::MAX] {
+                let want = (full <= bound).then_some(full);
+                assert_eq!(
+                    levenshtein_bounded(a.as_slice(), b.as_slice(), bound),
+                    want,
+                    "{n}x{m} bound {bound}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn empty_pattern_distances_count_the_prefix() {
+        let aligner = PrefixAligner::new(&[]);
+        let d: Vec<usize> = aligner.distances(s("ACG").iter()).collect();
+        assert_eq!(d, vec![0, 1, 2, 3]);
+        assert!(aligner.is_empty());
+    }
+
+    #[test]
+    fn windows_stay_within_the_slack() {
+        let aligner = PrefixAligner::new(s("ACGTA").as_slice());
+        let text = s("ACGTACCC");
+        let w: Vec<(usize, usize)> = aligner.windows(text.iter(), 2).collect();
+        assert_eq!(w, vec![(3, 2), (4, 1), (5, 0), (6, 1), (7, 2)]);
+        // A text shorter than the window range ends the scan early.
+        let w: Vec<(usize, usize)> = aligner.windows(s("ACGT").iter(), 2).collect();
+        assert_eq!(w, vec![(3, 2), (4, 1)]);
+        assert_eq!(aligner.windows(s("AC").iter(), 2).count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 64-base aligner word")]
+    fn aligner_rejects_patterns_longer_than_a_word() {
+        let _ = PrefixAligner::new(DnaSeq::from_bases([Base::A; 65]).as_slice());
     }
 
     #[test]

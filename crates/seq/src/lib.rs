@@ -8,7 +8,8 @@
 //! - [`DnaSeq`] — an owned DNA sequence with the string/slice-like API the
 //!   rest of the stack builds on,
 //! - [`distance`] — Hamming and Levenshtein (edit) distances, including
-//!   bounded variants used by the read-clustering pipeline,
+//!   bounded variants used by the read-clustering pipeline and the
+//!   bit-parallel `PrefixAligner` every primer search runs on,
 //! - [`kmer`] — packed k-mer iteration used for clustering signatures,
 //! - [`analysis`] — GC-content and homopolymer analysis used by primer and
 //!   index-tree constraints (§4 of the paper),

@@ -1,6 +1,6 @@
 //! Property-based tests for the foundational sequence types.
 
-use dna_seq::distance::{hamming, levenshtein, levenshtein_bounded};
+use dna_seq::distance::{hamming, levenshtein, levenshtein_bounded, PrefixAligner};
 use dna_seq::{Base, DnaSeq};
 use proptest::prelude::*;
 
@@ -9,7 +9,80 @@ fn arb_seq(max_len: usize) -> impl Strategy<Value = DnaSeq> {
         .prop_map(|codes| DnaSeq::from_bases(codes.into_iter().map(Base::from_code)))
 }
 
+/// Asserts the bit-vector kernel's distance to every prefix of `text`
+/// equals the full dynamic program's.
+fn assert_prefix_distances_exact(pattern: &DnaSeq, text: &DnaSeq) -> Result<(), TestCaseError> {
+    let aligner = PrefixAligner::new(pattern.as_slice());
+    let got: Vec<usize> = aligner.distances(text.iter()).collect();
+    prop_assert_eq!(got.len(), text.len() + 1);
+    for (j, &d) in got.iter().enumerate() {
+        prop_assert_eq!(
+            d,
+            levenshtein(pattern.as_slice(), &text.as_slice()[..j]),
+            "pattern {} text {} prefix {}",
+            pattern,
+            text,
+            j
+        );
+    }
+    Ok(())
+}
+
+/// A near-miss of `pattern`: each edit is a substitution, insertion or
+/// deletion at a chosen position, followed by a random tail.
+fn mutate(pattern: &DnaSeq, edits: &[(u8, usize, u8)], tail: &DnaSeq) -> DnaSeq {
+    let mut bases: Vec<Base> = pattern.iter().collect();
+    for &(kind, pos, code) in edits {
+        let base = Base::from_code(code);
+        let at = pos % (bases.len() + 1);
+        match kind % 3 {
+            0 if at < bases.len() => bases[at] = base,
+            1 => bases.insert(at, base),
+            _ if at < bases.len() => {
+                bases.remove(at);
+            }
+            _ => bases.push(base),
+        }
+    }
+    bases.extend(tail.iter());
+    DnaSeq::from_bases(bases)
+}
+
+fn arb_len_seq(len: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = DnaSeq> {
+    prop::collection::vec(0u8..4, len)
+        .prop_map(|codes| DnaSeq::from_bases(codes.into_iter().map(Base::from_code)))
+}
+
 proptest! {
+    #[test]
+    fn prefix_aligner_matches_levenshtein_on_random_text(
+        pattern in arb_len_seq(1..=64),
+        text in arb_seq(100),
+    ) {
+        assert_prefix_distances_exact(&pattern, &text)?;
+    }
+
+    #[test]
+    fn prefix_aligner_matches_levenshtein_on_near_misses(
+        pattern in arb_len_seq(1..=64),
+        edits in prop::collection::vec((0u8..3, 0usize..80, 0u8..4), 0..5),
+        tail in arb_seq(30),
+    ) {
+        let text = mutate(&pattern, &edits, &tail);
+        assert_prefix_distances_exact(&pattern, &text)?;
+    }
+
+    #[test]
+    fn prefix_aligner_matches_levenshtein_at_the_word_boundary(
+        pattern in arb_len_seq(64..=64),
+        edits in prop::collection::vec((0u8..3, 0usize..80, 0u8..4), 0..5),
+        tail in arb_seq(30),
+    ) {
+        let text = mutate(&pattern, &edits, &tail);
+        assert_prefix_distances_exact(&pattern, &text)?;
+        assert_prefix_distances_exact(&pattern, &tail)?;
+    }
+
     #[test]
     fn display_parse_round_trip(seq in arb_seq(200)) {
         let text = seq.to_string();

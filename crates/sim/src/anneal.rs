@@ -9,7 +9,7 @@
 //! are stable, and walks down 1 °C per cycle, which suppresses *early*
 //! mispriming events (the ones that would be amplified most).
 
-use dna_seq::distance::levenshtein_bounded;
+use dna_seq::distance::{levenshtein_bounded, PrefixAligner};
 use dna_seq::tm::melting_temperature;
 use dna_seq::DnaSeq;
 
@@ -91,24 +91,29 @@ impl AnnealModel {
 
     /// Full binding geometry: best window's edit distance and its
     /// 3'-terminal mismatch count, or `None` when the primer cannot bind.
+    ///
+    /// One [`PrefixAligner`] pass gives the primer's distance to every
+    /// window length `primer.len() ± max_edit`; only windows within
+    /// `max_edit` pay for the 3'-tail alignment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `primer` is longer than [`PrefixAligner::MAX_PATTERN`]
+    /// (64) bases. Every generated primer and elongated prefix is at most
+    /// 31 bases.
     pub fn binding_site(&self, primer: &DnaSeq, site: &DnaSeq) -> Option<BindingSite> {
         if primer.is_empty() {
             return None;
         }
+        let aligner = PrefixAligner::new(primer.as_slice());
         let mut best: Option<BindingSite> = None;
-        let lo = primer.len().saturating_sub(self.max_edit);
-        let hi = (primer.len() + self.max_edit).min(site.len());
-        if lo > site.len() {
-            return None;
-        }
         let k = self.three_prime_window.min(primer.len());
         let tail = &primer.as_slice()[primer.len() - k..];
-        for w in lo..=hi {
-            let window = &site.as_slice()[..w];
-            let Some(d) = levenshtein_bounded(primer.as_slice(), window, self.max_edit) else {
+        for (w, d) in aligner.windows(site.as_slice().iter().copied(), self.max_edit) {
+            if d > self.max_edit {
                 continue;
-            };
-            let site_tail = &window[w.saturating_sub(k)..];
+            }
+            let site_tail = &site.as_slice()[w.saturating_sub(k)..w];
             let d3 = levenshtein_bounded(tail, site_tail, k).unwrap_or(k);
             let candidate = BindingSite {
                 dist: d,

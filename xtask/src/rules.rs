@@ -131,7 +131,7 @@ const WETLAB: &[&str] = &[
     "mix_in",
     "synthesize",
     "synthesize_rewrites",
-    "run_retrieval",
+    "execute_round",
 ];
 
 fn is_wetlab_name(name: &str) -> bool {

@@ -56,6 +56,11 @@ fn bad_l2_wetlab_under_guard_fires_once() {
 }
 
 #[test]
+fn bad_l2_execute_round_under_guard_fires_once() {
+    assert_fires_once("bad_l2_execute_round_under_guard.rs", Rule::WetlabUnderLock);
+}
+
+#[test]
 fn bad_l3_missing_rank_fires_once() {
     assert_fires_once("bad_l3_missing_rank.rs", Rule::LockRank);
 }
