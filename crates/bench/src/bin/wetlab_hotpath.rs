@@ -2,8 +2,8 @@
 //!
 //! Each layer of the simulator fast path is timed against the code it
 //! replaced, on a workload shaped like the block store's (multiplex PCR
-//! over a mostly-non-target pool, repeated sequencing of one product,
-//! repeated block decodes):
+//! over a mostly-non-target pool, repeated sequencing of one product, one
+//! range read's primer search):
 //!
 //! 1. **Annealing prefilter + binding cache** — `PcrReaction::run` (k-mer
 //!    prefilter, per-pool binding cache, sparse application) vs the
@@ -12,9 +12,7 @@
 //!    species amplifies, isolating the per-cycle bookkeeping cost.
 //! 3. **Sequencing scratch** — repeated draws from an unchanged pool with
 //!    the epoch-keyed cumulative-weight table vs a cold table per batch.
-//! 4. **Decode arena** — repeated block decodes through one
-//!    [`DecodeScratch`] vs a fresh arena per call.
-//! 5. **Decode filter** — `ReadFilter::extract` (one bit-parallel
+//! 4. **Decode filter** — `ReadFilter::extract` (one bit-parallel
 //!    `PrefixAligner` pass per primer) vs the per-window banded
 //!    edit-distance scan it replaced, written out below as the reference,
 //!    over one range-read round's reads and filters.
@@ -22,22 +20,19 @@
 //! Every layer's fast path is asserted equal to its baseline *in this
 //! binary* before timing (the exhaustive oracle lives in
 //! `crates/sim/tests/fastpath_equiv.rs`), so a gate failure is a perf
-//! regression, never a correctness trade. Results land in
+//! regression, never a correctness trade. Each side is timed in
+//! interleaved batches and gated on the median batch, so one slow batch on
+//! a shared host cannot fail a gate. Results land in
 //! `BENCH_wetlab.json` with the gate and its rationale next to each
 //! number; CI re-runs the binary, which asserts the gates.
 
 use dna_bench::report;
-use dna_codec::{intra, PayloadCodec, StrandGeometry};
-use dna_ecc::{EncodingUnit, UnitConfig};
-use dna_pipeline::{
-    decode_block_validated_with_scratch, BlockDecodeConfig, DecodeScratch, ReadFilter,
-};
+use dna_pipeline::{BlockDecodeConfig, ReadFilter};
 use dna_seq::distance::levenshtein_bounded;
 use dna_seq::rng::DetRng;
 use dna_seq::{Base, DnaSeq};
 use dna_sim::{
     IdsChannel, PcrPrimer, PcrProtocol, PcrReaction, Pool, Read, Sequencer, SequencerScratch,
-    StrandTag,
 };
 use std::time::Instant;
 
@@ -51,15 +46,38 @@ struct Layer {
     counters: Vec<(&'static str, u64)>,
 }
 
-fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    // One warmup rep (populates thread-local caches exactly like steady
-    // state), then the timed run.
-    let _ = f();
-    let start = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(f());
+/// Timed batches per side.
+const BATCHES: usize = 5;
+
+/// Per-call milliseconds of `baseline` and `fast`, as `(baseline, fast)`.
+/// After one warmup call each (populating thread-local caches exactly like
+/// steady state), the two sides run [`BATCHES`] interleaved batches of
+/// `reps` calls, so host load drifts over both alike; each side reports
+/// its median batch.
+fn time_ms<R>(
+    reps: usize,
+    mut baseline: impl FnMut() -> R,
+    mut fast: impl FnMut() -> R,
+) -> (f64, f64) {
+    fn batch<T>(reps: usize, f: &mut impl FnMut() -> T) -> f64 {
+        let start = Instant::now();
+        for _ in 0..reps {
+            std::hint::black_box(f());
+        }
+        start.elapsed().as_secs_f64() * 1e3 / reps as f64
     }
-    start.elapsed().as_secs_f64() * 1e3 / reps as f64
+    let _ = baseline();
+    let _ = fast();
+    let (mut base_ms, mut fast_ms) = (Vec::new(), Vec::new());
+    for _ in 0..BATCHES {
+        fast_ms.push(batch(reps, &mut fast));
+        base_ms.push(batch(reps, &mut baseline));
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    (median(base_ms), median(fast_ms))
 }
 
 fn fwd_primer(phase: usize) -> DnaSeq {
@@ -133,8 +151,7 @@ fn bench_prefilter() -> Layer {
     assert_eq!(fast.fwd_consumed, reference.fwd_consumed);
     assert!(delta.species_skipped > 0, "prefilter skipped nothing");
 
-    let fast_ms = time_ms(10, || rxn.run(&pool));
-    let baseline_ms = time_ms(10, || rxn.run_reference(&pool));
+    let (baseline_ms, fast_ms) = time_ms(10, || rxn.run_reference(&pool), || rxn.run(&pool));
     Layer {
         name: "pcr_prefilter",
         baseline_ms,
@@ -170,8 +187,7 @@ fn bench_sparse_amplify() -> Layer {
     let reference = rxn.run_reference(&pool);
     assert_eq!(fast.pool, reference.pool, "fast path diverged");
 
-    let fast_ms = time_ms(10, || rxn.run(&pool));
-    let baseline_ms = time_ms(10, || rxn.run_reference(&pool));
+    let (baseline_ms, fast_ms) = time_ms(10, || rxn.run_reference(&pool), || rxn.run(&pool));
     Layer {
         name: "sparse_amplification",
         baseline_ms,
@@ -215,33 +231,36 @@ fn bench_sequencing() -> Layer {
     assert_eq!(streamed, baseline_reads, "scratch path diverged");
     assert!(delta.scratch_reuses >= (batches - 1) as u64);
 
-    let fast_ms = time_ms(5, || {
-        let mut rng = DetRng::seed_from_u64(7);
-        let mut scratch = SequencerScratch::new();
-        let mut out: Vec<Read> = Vec::new();
-        for _ in 0..batches {
-            out.clear();
-            seq.sequence_into(&pool, per_batch, &mut rng, &mut scratch, &mut out);
-        }
-        out.len()
-    });
-    let baseline_ms = time_ms(5, || {
-        let mut rng = DetRng::seed_from_u64(7);
-        let mut out: Vec<Read> = Vec::new();
-        for _ in 0..batches {
-            // Cold table every batch: what sequence() cost before the
-            // epoch-keyed scratch existed.
-            out.clear();
-            seq.sequence_into(
-                &pool,
-                per_batch,
-                &mut rng,
-                &mut SequencerScratch::new(),
-                &mut out,
-            );
-        }
-        out.len()
-    });
+    let (baseline_ms, fast_ms) = time_ms(
+        5,
+        || {
+            let mut rng = DetRng::seed_from_u64(7);
+            let mut out: Vec<Read> = Vec::new();
+            for _ in 0..batches {
+                // Cold table every batch: what sequence() cost before the
+                // epoch-keyed scratch existed.
+                out.clear();
+                seq.sequence_into(
+                    &pool,
+                    per_batch,
+                    &mut rng,
+                    &mut SequencerScratch::new(),
+                    &mut out,
+                );
+            }
+            out.len()
+        },
+        || {
+            let mut rng = DetRng::seed_from_u64(7);
+            let mut scratch = SequencerScratch::new();
+            let mut out: Vec<Read> = Vec::new();
+            for _ in 0..batches {
+                out.clear();
+                seq.sequence_into(&pool, per_batch, &mut rng, &mut scratch, &mut out);
+            }
+            out.len()
+        },
+    );
     Layer {
         name: "sequencing_scratch",
         baseline_ms,
@@ -262,122 +281,7 @@ fn bench_sequencing() -> Layer {
 }
 
 // ---------------------------------------------------------------------------
-// layer 4: decode arena reuse
-// ---------------------------------------------------------------------------
-
-fn encode_unit_strands(data: &[u8; 264], seed: u64, unit_id: u64) -> Vec<DnaSeq> {
-    let fwd: DnaSeq = "AACCGGTTAACCGGTTAACC".parse().unwrap();
-    let rev: DnaSeq = "AAGGCCTTAAGGCCTTAAGG".parse().unwrap();
-    let index: DnaSeq = "ACAGTCTGAC".parse().unwrap();
-    let geometry = StrandGeometry::paper_default();
-    let unit = EncodingUnit::new(UnitConfig::paper_default());
-    unit.encode(data)
-        .unwrap()
-        .iter()
-        .enumerate()
-        .map(|(col, bytes)| {
-            let codec = PayloadCodec::for_column(seed, unit_id, Base::A.code(), col as u8);
-            geometry
-                .assemble(
-                    &fwd,
-                    &index,
-                    Base::A,
-                    &intra::encode(col, 2).unwrap(),
-                    &codec.encode(bytes),
-                    &rev,
-                )
-                .unwrap()
-        })
-        .collect()
-}
-
-fn bench_decode_arena() -> Layer {
-    let mut data = [0u8; 264];
-    for (i, b) in data.iter_mut().enumerate() {
-        *b = (i as u8).wrapping_mul(37).wrapping_add(5);
-    }
-    let mut pool = Pool::new();
-    for s in encode_unit_strands(&data, 3, 9) {
-        pool.add(s, 100.0, Some(StrandTag::new(1, 9, 0, 0)));
-    }
-    let mut rng = DetRng::seed_from_u64(11);
-    let reads = Sequencer::new(IdsChannel::illumina()).sequence(&pool, 15 * 12, &mut rng);
-    let prefix: DnaSeq = {
-        let mut p: DnaSeq = "AACCGGTTAACCGGTTAACC".parse().unwrap();
-        p.push(Base::A);
-        p.extend("ACAGTCTGAC".parse::<DnaSeq>().unwrap().iter());
-        p
-    };
-    let rev: DnaSeq = "AAGGCCTTAAGGCCTTAAGG".parse().unwrap();
-    let cfg = BlockDecodeConfig::paper_default(3, 9);
-
-    // Oracle: arena-reusing decodes equal fresh-arena decodes.
-    let mut shared = DecodeScratch::new();
-    let a = decode_block_validated_with_scratch(&reads, &prefix, &rev, &cfg, |_| true, &mut shared);
-    let b = decode_block_validated_with_scratch(&reads, &prefix, &rev, &cfg, |_| true, &mut shared);
-    let fresh = decode_block_validated_with_scratch(
-        &reads,
-        &prefix,
-        &rev,
-        &cfg,
-        |_| true,
-        &mut DecodeScratch::new(),
-    );
-    assert_eq!(a.versions, fresh.versions, "arena decode diverged");
-    assert_eq!(b.versions, fresh.versions, "arena reuse diverged");
-    assert_eq!(a.versions[&Base::A].unit_bytes, data.to_vec());
-
-    let rounds = 12usize;
-    let fast_ms = time_ms(5, || {
-        let mut scratch = DecodeScratch::new();
-        let mut ok = 0usize;
-        for _ in 0..rounds {
-            let out = decode_block_validated_with_scratch(
-                &reads,
-                &prefix,
-                &rev,
-                &cfg,
-                |_| true,
-                &mut scratch,
-            );
-            ok += out.versions.len();
-        }
-        ok
-    });
-    let baseline_ms = time_ms(5, || {
-        let mut ok = 0usize;
-        for _ in 0..rounds {
-            let out = decode_block_validated_with_scratch(
-                &reads,
-                &prefix,
-                &rev,
-                &cfg,
-                |_| true,
-                &mut DecodeScratch::new(),
-            );
-            ok += out.versions.len();
-        }
-        ok
-    });
-    Layer {
-        name: "decode_arena",
-        baseline_ms,
-        fast_ms,
-        speedup: baseline_ms / fast_ms.max(1e-9),
-        gate: 0.95,
-        rationale: "the arena reuses the interior table, MinHash buckets \
-                    and BMA buffers across decodes of one round; the win is \
-                    allocator pressure, not algorithmic, and cluster \
-                    edit-distance confirmation dominates the wall clock — \
-                    so the gate is a no-regression floor (reuse must never \
-                    cost time), with the real assertion being the byte-\
-                    identical oracle above",
-        counters: vec![],
-    }
-}
-
-// ---------------------------------------------------------------------------
-// layer 5: decode-time primer search
+// layer 4: decode-time primer search
 // ---------------------------------------------------------------------------
 
 /// The window scan `ReadFilter` ran before the bit-parallel kernel: one
@@ -476,22 +380,25 @@ fn bench_decode_filter() -> Layer {
         "the round's filters matched only {extracted} reads"
     );
 
-    let fast_ms = time_ms(3, || {
-        filters
-            .iter()
-            .flat_map(|f| reads.iter().filter_map(|r| f.extract(&r.seq)))
-            .count()
-    });
-    let baseline_ms = time_ms(3, || {
-        prefixes
-            .iter()
-            .flat_map(|p| {
-                reads
-                    .iter()
-                    .filter_map(|r| reference_extract(p, &rev_site, max_edit, tail, &r.seq))
-            })
-            .count()
-    });
+    let (baseline_ms, fast_ms) = time_ms(
+        3,
+        || {
+            prefixes
+                .iter()
+                .flat_map(|p| {
+                    reads
+                        .iter()
+                        .filter_map(|r| reference_extract(p, &rev_site, max_edit, tail, &r.seq))
+                })
+                .count()
+        },
+        || {
+            filters
+                .iter()
+                .flat_map(|f| reads.iter().filter_map(|r| f.extract(&r.seq)))
+                .count()
+        },
+    );
     Layer {
         name: "decode_filter",
         baseline_ms,
@@ -549,7 +456,6 @@ fn main() {
         bench_prefilter(),
         bench_sparse_amplify(),
         bench_sequencing(),
-        bench_decode_arena(),
         bench_decode_filter(),
     ];
     for l in &layers {

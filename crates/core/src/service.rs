@@ -12,7 +12,7 @@
 //! primer-compatible multiplex rounds, the store dispatches those rounds
 //! (disjoint shard sets) concurrently on scoped threads, and each round's
 //! read pool is demultiplexed and decoded in parallel
-//! ([`dna_pipeline::decode_jobs_parallel`]). On top of that, a
+//! ([`dna_pipeline::decode_jobs_parallel_into`]). On top of that, a
 //! [`BlockCache`] serves repeated reads of hot blocks with **zero**
 //! simulated wetlab cost (the read-mostly access pattern of rewritable
 //! DNA systems, Yazdi et al. 2015), and [`StoreServer::update_block`]
@@ -248,8 +248,8 @@ pub struct ServerStats {
     pub wetlab_anneal_calls: u64,
     /// Wetlab fast path: sequencer reads materialized.
     pub wetlab_reads_materialized: u64,
-    /// Wetlab fast path: scratch/arena reuses (sequencer weight tables,
-    /// decode arenas).
+    /// Wetlab fast path: sequencer weight-table reuses. The generic
+    /// `scratch` name is kept for wire compatibility.
     pub wetlab_scratch_reuses: u64,
 }
 

@@ -1785,7 +1785,7 @@ impl BlockStore {
     /// partitions' tubes into one reaction, runs one
     /// [`dna_sim::MultiplexPcrReaction`] with per-pair primer budgets, one
     /// sequencing pass, and a parallel software demultiplex + decode
-    /// ([`dna_pipeline::decode_jobs_parallel`]). Rounds touch disjoint
+    /// ([`dna_pipeline::decode_jobs_parallel_into`]). Rounds touch disjoint
     /// shard sets, so they execute **concurrently** on scoped threads,
     /// each against its own snapshot — with the per-round decode fan-out
     /// sized by [`dna_pipeline::thread_share`] so rounds share the cores.

@@ -13,23 +13,6 @@
 use dna_seq::{Base, DnaSeq};
 use std::borrow::Borrow;
 
-/// Reusable buffers for repeated BMA runs (the per-trace walk pointers and
-/// the reversed-trace copies of the backward pass). One scratch serves any
-/// number of calls; every buffer is sized/cleared on entry, so results are
-/// identical to the allocating entry points.
-#[derive(Debug, Clone, Default)]
-pub struct BmaScratch {
-    ptr: Vec<usize>,
-    reversed: Vec<DnaSeq>,
-}
-
-impl BmaScratch {
-    /// Creates an empty scratch.
-    pub fn new() -> BmaScratch {
-        BmaScratch::default()
-    }
-}
-
 /// Forward Bitwise Majority Alignment to a known target length.
 ///
 /// Returns `None` when `traces` is empty. Accepts anything that borrows as
@@ -48,28 +31,10 @@ impl BmaScratch {
 /// assert_eq!(bma(&[t1.clone(), t2, t3], 8), Some(t1));
 /// ```
 pub fn bma<T: Borrow<DnaSeq>>(traces: &[T], target_len: usize) -> Option<DnaSeq> {
-    bma_core(traces, target_len, &mut Vec::new())
-}
-
-/// As [`bma`], reusing `scratch` buffers across calls.
-pub fn bma_with<T: Borrow<DnaSeq>>(
-    traces: &[T],
-    target_len: usize,
-    scratch: &mut BmaScratch,
-) -> Option<DnaSeq> {
-    bma_core(traces, target_len, &mut scratch.ptr)
-}
-
-fn bma_core<T: Borrow<DnaSeq>>(
-    traces: &[T],
-    target_len: usize,
-    ptr: &mut Vec<usize>,
-) -> Option<DnaSeq> {
     if traces.is_empty() {
         return None;
     }
-    ptr.clear();
-    ptr.resize(traces.len(), 0);
+    let mut ptr = vec![0usize; traces.len()];
     let mut out = DnaSeq::with_capacity(target_len);
     for _ in 0..target_len {
         let mut counts = [0usize; 4];
@@ -103,28 +68,12 @@ fn bma_core<T: Borrow<DnaSeq>>(
 ///
 /// Returns `None` when `traces` is empty.
 pub fn double_sided_bma<T: Borrow<DnaSeq>>(traces: &[T], target_len: usize) -> Option<DnaSeq> {
-    double_sided_bma_with(traces, target_len, &mut BmaScratch::new())
-}
-
-/// As [`double_sided_bma`], reusing `scratch` buffers (walk pointers and the
-/// reversed-trace copies) across calls. Byte-identical to the allocating
-/// entry point for any scratch state.
-pub fn double_sided_bma_with<T: Borrow<DnaSeq>>(
-    traces: &[T],
-    target_len: usize,
-    scratch: &mut BmaScratch,
-) -> Option<DnaSeq> {
-    let BmaScratch { ptr, reversed } = scratch;
-    let fwd = bma_core(traces, target_len, ptr)?;
-    reversed.truncate(traces.len());
-    reversed.resize_with(traces.len(), DnaSeq::new);
-    for (buf, t) in reversed.iter_mut().zip(traces) {
-        buf.clear();
-        for &b in t.borrow().as_slice().iter().rev() {
-            buf.push(b);
-        }
-    }
-    let bwd_rev = bma_core(&reversed[..], target_len, ptr)?;
+    let fwd = bma(traces, target_len)?;
+    let reversed: Vec<DnaSeq> = traces
+        .iter()
+        .map(|t| DnaSeq::from_bases(t.borrow().as_slice().iter().rev().copied()))
+        .collect();
+    let bwd_rev = bma(&reversed, target_len)?;
     let bwd = DnaSeq::from_bases(bwd_rev.as_slice().iter().rev().copied());
     let mid = target_len / 2;
     let mut out = DnaSeq::with_capacity(target_len);
@@ -159,22 +108,17 @@ mod tests {
     }
 
     #[test]
-    fn scratch_and_borrowed_traces_match_allocating_path() {
+    fn borrowed_traces_match_owned_traces() {
         let mut rng = DetRng::seed_from_u64(13);
         let ch = IdsChannel::nanopore();
-        let mut scratch = BmaScratch::new();
         for trial in 0..50 {
             let orig = random_seq(99, &mut rng);
             let traces: Vec<DnaSeq> = (0..2 + trial % 6)
                 .map(|_| ch.corrupt(&orig, &mut rng))
                 .collect();
             let refs: Vec<&DnaSeq> = traces.iter().collect();
-            let base = double_sided_bma(&traces, 99);
-            // Borrowed traces, fresh scratch, and a scratch reused across
-            // trials (with varying trace counts) must all agree.
-            assert_eq!(double_sided_bma(&refs, 99), base);
-            assert_eq!(double_sided_bma_with(&refs, 99, &mut scratch), base);
-            assert_eq!(bma_with(&refs, 99, &mut scratch), bma(&traces, 99));
+            assert_eq!(bma(&refs, 99), bma(&traces, 99));
+            assert_eq!(double_sided_bma(&refs, 99), double_sided_bma(&traces, 99));
         }
     }
 

@@ -52,25 +52,6 @@ impl Cluster {
     }
 }
 
-/// Reusable buffers for repeated clustering runs: the MinHash bucket index,
-/// the per-read candidate list, and the representative-signature table. All
-/// buffers are cleared on entry, so [`cluster_reads_with_scratch`] is
-/// byte-identical to [`cluster_reads`] for any scratch state — the reuse only
-/// spares the allocator, it never carries state between calls.
-#[derive(Debug, Clone, Default)]
-pub struct ClusterScratch {
-    buckets: HashMap<(usize, u64), Vec<usize>>,
-    candidates: Vec<usize>,
-    rep_sigs: Vec<MinHashSignature>,
-}
-
-impl ClusterScratch {
-    /// Creates an empty scratch.
-    pub fn new() -> ClusterScratch {
-        ClusterScratch::default()
-    }
-}
-
 /// Clusters `reads` and returns clusters sorted by size, largest first
 /// (ties broken by first appearance, so the result is deterministic).
 ///
@@ -78,24 +59,10 @@ impl ClusterScratch {
 /// that the payloads from the reads of the same original strand are
 /// clustered together."
 pub fn cluster_reads(reads: &[DnaSeq], config: &ClusterConfig) -> Vec<Cluster> {
-    cluster_reads_with_scratch(reads, config, &mut ClusterScratch::new())
-}
-
-/// As [`cluster_reads`], reusing `scratch` buffers across calls.
-pub fn cluster_reads_with_scratch(
-    reads: &[DnaSeq],
-    config: &ClusterConfig,
-    scratch: &mut ClusterScratch,
-) -> Vec<Cluster> {
     let mut clusters: Vec<Cluster> = Vec::new();
     // Bucket index: (slot index, slot value) → cluster ids.
-    let ClusterScratch {
-        buckets,
-        candidates,
-        rep_sigs,
-    } = scratch;
-    buckets.clear();
-    rep_sigs.clear();
+    let mut buckets: HashMap<(usize, u64), Vec<usize>> = HashMap::new();
+    let mut candidates: Vec<usize> = Vec::new();
 
     for (i, read) in reads.iter().enumerate() {
         let sig = MinHashSignature::new(read, config.kmer, config.slots);
@@ -132,7 +99,6 @@ pub fn cluster_reads_with_scratch(
                 for (s, &v) in sig.slots().iter().enumerate() {
                     buckets.entry((s, v)).or_default().push(id);
                 }
-                rep_sigs.push(sig);
             }
         }
     }

@@ -1,14 +1,13 @@
 //! The §8 block-decoding procedure.
 
-use crate::bma::{double_sided_bma_with, BmaScratch};
-use crate::cluster::{cluster_reads_with_scratch, ClusterConfig, ClusterScratch};
+use crate::bma::double_sided_bma;
+use crate::cluster::{cluster_reads, ClusterConfig};
 use crate::filter::ReadFilter;
 use dna_codec::{intra, PayloadCodec, StrandGeometry};
 use dna_ecc::{EncodingUnit, UnitConfig};
 use dna_seq::{Base, DnaSeq};
 use dna_sim::Read;
 use std::borrow::Borrow;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 /// Configuration for decoding one block from a read set.
@@ -137,69 +136,6 @@ pub fn decode_block_validated<B: Borrow<Read>>(
     config: &BlockDecodeConfig,
     validator: impl Fn(&[u8]) -> bool,
 ) -> BlockDecodeOutcome {
-    THREAD_SCRATCH.with(|s| match s.try_borrow_mut() {
-        Ok(mut scratch) => decode_block_validated_with_scratch(
-            reads,
-            elongated_prefix,
-            rev_primer,
-            config,
-            validator,
-            &mut scratch,
-        ),
-        // Reentrant call (a validator decoding another block): fall back to
-        // a throwaway scratch rather than double-borrowing.
-        Err(_) => decode_block_validated_with_scratch(
-            reads,
-            elongated_prefix,
-            rev_primer,
-            config,
-            validator,
-            &mut DecodeScratch::new(),
-        ),
-    })
-}
-
-/// Reusable allocation arena for repeated block decodes: the extracted-
-/// interior table, the clustering buffers, and the BMA walk/reverse buffers.
-///
-/// One scratch serves any sequence of decode calls (the parallel fan-out
-/// keeps one per worker thread); every buffer is cleared on entry, so
-/// [`decode_block_validated_with_scratch`] is byte-identical to
-/// [`decode_block_validated`] for any scratch state. Reuse after the first
-/// call is counted in [`dna_sim::WetlabStats::scratch_reuses`].
-#[derive(Debug, Clone, Default)]
-pub struct DecodeScratch {
-    interiors: Vec<DnaSeq>,
-    cluster: ClusterScratch,
-    bma: BmaScratch,
-    used: bool,
-}
-
-impl DecodeScratch {
-    /// Creates an empty scratch.
-    pub fn new() -> DecodeScratch {
-        DecodeScratch::default()
-    }
-}
-
-thread_local! {
-    static THREAD_SCRATCH: RefCell<DecodeScratch> = RefCell::new(DecodeScratch::new());
-}
-
-/// As [`decode_block_validated`], reusing `scratch` buffers across calls.
-pub fn decode_block_validated_with_scratch<B: Borrow<Read>>(
-    reads: &[B],
-    elongated_prefix: &DnaSeq,
-    rev_primer: &DnaSeq,
-    config: &BlockDecodeConfig,
-    validator: impl Fn(&[u8]) -> bool,
-    scratch: &mut DecodeScratch,
-) -> BlockDecodeOutcome {
-    if scratch.used {
-        dna_sim::stats::record_scratch_reuse(1);
-    } else {
-        scratch.used = true;
-    }
     let filter = match config.index_tail_tolerance {
         Some(tol) => ReadFilter::with_tail_check(
             elongated_prefix.clone(),
@@ -210,16 +146,12 @@ pub fn decode_block_validated_with_scratch<B: Borrow<Read>>(
         ),
         None => ReadFilter::new(elongated_prefix.clone(), rev_primer, config.filter_max_edit),
     };
-    let DecodeScratch {
-        interiors,
-        cluster: cluster_scratch,
-        bma: bma_scratch,
-        ..
-    } = scratch;
-    interiors.clear();
-    interiors.extend(reads.iter().filter_map(|r| filter.extract(&r.borrow().seq)));
+    let interiors: Vec<DnaSeq> = reads
+        .iter()
+        .filter_map(|r| filter.extract(&r.borrow().seq))
+        .collect();
     let reads_matched = interiors.len();
-    let clusters = cluster_reads_with_scratch(interiors, &config.cluster, cluster_scratch);
+    let clusters = cluster_reads(&interiors, &config.cluster);
     let clusters_total = clusters.len();
 
     // Reconstruct strands, largest clusters first, keeping the first
@@ -233,11 +165,8 @@ pub fn decode_block_validated_with_scratch<B: Borrow<Read>>(
     } else {
         config.max_clusters.min(clusters.len())
     };
-    let mut members: Vec<&DnaSeq> = Vec::new();
     for (ci, cluster) in clusters.iter().take(cap).enumerate() {
-        members.clear();
-        members.extend(cluster.members.iter().map(|&i| &interiors[i]));
-        let Some(strand) = double_sided_bma_with(&members, interior_len, bma_scratch) else {
+        let Some(strand) = double_sided_bma(&cluster.sequences(&interiors), interior_len) else {
             continue;
         };
         let version = strand[0];
@@ -327,7 +256,6 @@ pub fn decode_block_validated_with_scratch<B: Borrow<Read>>(
         }
     }
 
-    dna_sim::stats::flush_to_global();
     BlockDecodeOutcome {
         versions,
         failed_versions: failed,
@@ -916,79 +844,6 @@ mod tests {
         // Matching statistics are unchanged: the filter still counts the
         // stale reads, only the RS stage skips them.
         assert_eq!(restricted.reads_matched, open.reads_matched);
-    }
-
-    #[test]
-    fn scratch_reuse_is_byte_identical_and_counted() {
-        // The arena never changes results: decoding two different blocks
-        // through one scratch (buffers sized by the first call, reused by
-        // the second) matches fresh-scratch decodes field for field, and
-        // the reuse is visible in the wetlab counters.
-        let data_a = sample_unit_bytes(11);
-        let data_b = sample_unit_bytes(12);
-        let mut strands: Vec<(DnaSeq, StrandTag)> = encode_version(&data_a, Base::A, 31, 531)
-            .into_iter()
-            .map(|s| (s, StrandTag::new(13, 531, 0, 0)))
-            .collect();
-        strands.extend(
-            encode_version(&data_b, Base::C, 31, 531)
-                .into_iter()
-                .map(|s| (s, StrandTag::new(13, 531, 1, 0))),
-        );
-        let reads = reads_for(&strands, 8, IdsChannel::illumina(), 77);
-        let cfg = BlockDecodeConfig::paper_default(31, 531);
-
-        let fresh_a = decode_block_validated_with_scratch(
-            &reads,
-            &elongated_prefix(),
-            &rev(),
-            &cfg,
-            |_| true,
-            &mut DecodeScratch::new(),
-        );
-        let fresh_b = {
-            let mut cfg_b = cfg.clone();
-            cfg_b.version_allowlist = Some(vec![Base::C]);
-            decode_block_validated_with_scratch(
-                &reads,
-                &elongated_prefix(),
-                &rev(),
-                &cfg_b,
-                |_| true,
-                &mut DecodeScratch::new(),
-            )
-        };
-
-        let before = dna_sim::stats::thread_totals();
-        let mut scratch = DecodeScratch::new();
-        let shared_a = decode_block_validated_with_scratch(
-            &reads,
-            &elongated_prefix(),
-            &rev(),
-            &cfg,
-            |_| true,
-            &mut scratch,
-        );
-        let mut cfg_b = cfg.clone();
-        cfg_b.version_allowlist = Some(vec![Base::C]);
-        let shared_b = decode_block_validated_with_scratch(
-            &reads,
-            &elongated_prefix(),
-            &rev(),
-            &cfg_b,
-            |_| true,
-            &mut scratch,
-        );
-        let delta = dna_sim::stats::thread_totals().delta_since(&before);
-
-        assert_eq!(shared_a.versions, fresh_a.versions);
-        assert_eq!(shared_a.reads_matched, fresh_a.reads_matched);
-        assert_eq!(shared_a.clusters_total, fresh_a.clusters_total);
-        assert_eq!(shared_a.clusters_used, fresh_a.clusters_used);
-        assert_eq!(shared_b.versions, fresh_b.versions);
-        assert_eq!(shared_b.reads_matched, fresh_b.reads_matched);
-        // First call through `scratch` is a fresh use, second is the reuse.
-        assert_eq!(delta.scratch_reuses, 1, "delta {delta:?}");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!    duplicate addresses, Reed-Solomon-decode each version, and — when
 //!    mispriming poisons an address (§8.1) — retry with alternate candidate
 //!    strands in descending cluster-size order;
-//! 5. **Fan out** ([`decode_jobs_parallel`]): demultiplex a multiplexed
+//! 5. **Fan out** ([`decode_jobs_parallel_into`]): demultiplex a multiplexed
 //!    round's shared read pool into per-block [`DecodeJob`]s and decode them
 //!    on parallel OS threads.
 //!
@@ -33,14 +33,11 @@ mod demux;
 mod filter;
 mod parallel;
 
-pub use bma::{bma, bma_with, double_sided_bma, double_sided_bma_with, BmaScratch};
-pub use cluster::{
-    cluster_reads, cluster_reads_with_scratch, Cluster, ClusterConfig, ClusterScratch,
-};
+pub use bma::{bma, double_sided_bma};
+pub use cluster::{cluster_reads, Cluster, ClusterConfig};
 pub use decode::{
-    decode_block, decode_block_validated, decode_block_validated_with_scratch, BlockDecodeConfig,
-    BlockDecodeOutcome, DecodeScratch, RecoveredVersion,
+    decode_block, decode_block_validated, BlockDecodeConfig, BlockDecodeOutcome, RecoveredVersion,
 };
 pub use demux::{demux_reads, ChannelPrimer};
 pub use filter::ReadFilter;
-pub use parallel::{decode_jobs_parallel, decode_jobs_parallel_into, thread_share, DecodeJob};
+pub use parallel::{decode_jobs_parallel_into, thread_share, DecodeJob};

@@ -9,10 +9,7 @@
 //! `std::thread::scope` — no `unsafe`, no shared mutable state, and the
 //! output order is the input job order regardless of scheduling.
 
-use crate::decode::{
-    decode_block_validated, decode_block_validated_with_scratch, BlockDecodeConfig,
-    BlockDecodeOutcome, DecodeScratch,
-};
+use crate::decode::{decode_block_validated, BlockDecodeConfig, BlockDecodeOutcome};
 use dna_seq::DnaSeq;
 use dna_sim::Read;
 
@@ -44,35 +41,16 @@ pub fn thread_share(consumers: usize) -> usize {
 
 /// Decodes every job against the shared `reads`, fanning out over at most
 /// `max_threads` OS threads (clamped to the job count; `0` means "use
-/// [`std::thread::available_parallelism`]"). Results are returned in job
-/// order and are identical to running [`decode_block_validated`]
-/// sequentially per job.
+/// [`std::thread::available_parallelism`]"), and *appends* the outcomes in
+/// job order to `out`. The outcomes are identical to running
+/// [`decode_block_validated`] sequentially per job.
 ///
 /// `validator` is the unit-integrity check shared by all jobs (the block
-/// store passes its checksum test).
-pub fn decode_jobs_parallel<B, F>(
-    reads: &[B],
-    jobs: &[DecodeJob],
-    validator: F,
-    max_threads: usize,
-) -> Vec<BlockDecodeOutcome>
-where
-    B: std::borrow::Borrow<Read> + Sync,
-    F: Fn(&[u8]) -> bool + Sync,
-{
-    let mut out = Vec::with_capacity(jobs.len());
-    decode_jobs_parallel_into(reads, jobs, validator, max_threads, &mut out);
-    out
-}
-
-/// As [`decode_jobs_parallel`], but *appends* the outcomes (still in job
-/// order) to a caller-owned vector instead of allocating a fresh one.
-///
-/// This is the entry point for scheduler-driven decoding: a multi-round
-/// batch accumulates one outcome vector across rounds so that a leaf
-/// decoded in an earlier round (e.g. the shared update-log partition) is
-/// never decoded again — callers index outcomes by the position recorded
-/// when the job was first submitted.
+/// store passes its checksum test). Appending lets a multi-round batch
+/// accumulate one outcome vector across rounds so that a leaf decoded in an
+/// earlier round (e.g. the shared update-log partition) is never decoded
+/// again — callers index outcomes by the position recorded when the job was
+/// first submitted.
 pub fn decode_jobs_parallel_into<B, F>(
     reads: &[B],
     jobs: &[DecodeJob],
@@ -93,7 +71,6 @@ pub fn decode_jobs_parallel_into<B, F>(
     .min(jobs.len())
     .max(1);
     if threads == 1 || jobs.len() <= 1 {
-        // The caller thread's thread-local scratch persists across rounds.
         out.extend(
             jobs.iter().map(|j| {
                 decode_block_validated(reads, &j.prefix, &j.reverse, &j.config, &validator)
@@ -108,25 +85,16 @@ pub fn decode_jobs_parallel_into<B, F>(
         let mut handles = Vec::with_capacity(threads);
         for t in 0..threads {
             // Stripe the jobs: thread t takes indices t, t+threads, ...
-            // Each worker carries one decode arena across its stripe.
             handles.push(scope.spawn(move || {
-                let mut scratch = DecodeScratch::new();
                 jobs.iter()
                     .enumerate()
                     .skip(t)
                     .step_by(threads)
                     .map(|(i, j)| {
-                        (
-                            i,
-                            decode_block_validated_with_scratch(
-                                reads,
-                                &j.prefix,
-                                &j.reverse,
-                                &j.config,
-                                validator,
-                                &mut scratch,
-                            ),
-                        )
+                        let outcome = decode_block_validated(
+                            reads, &j.prefix, &j.reverse, &j.config, validator,
+                        );
+                        (i, outcome)
                     })
                     .collect::<Vec<_>>()
             }));
@@ -166,6 +134,11 @@ mod tests {
             "ACAGTCTGAC".parse().unwrap(),
             "TGTCAGACTG".parse().unwrap(),
             "CATGCATGCA".parse().unwrap(),
+            "GTACGTCATG".parse().unwrap(),
+            "TCGATGCTAG".parse().unwrap(),
+            "AGCTTGACGT".parse().unwrap(),
+            "GACTCAGTTC".parse().unwrap(),
+            "TACCGAGTCA".parse().unwrap(),
         ]
     }
 
@@ -210,7 +183,8 @@ mod tests {
 
     #[test]
     fn parallel_results_match_sequential_in_job_order() {
-        // Three blocks multiplexed into one read pool.
+        // Eight blocks multiplexed into one read pool — the job count of a
+        // range read's prefix-cover round.
         let mut pool = Pool::new();
         let mut jobs = Vec::new();
         let mut expected = Vec::new();
@@ -227,22 +201,29 @@ mod tests {
             expected.push(data.to_vec());
         }
         let mut rng = DetRng::seed_from_u64(21);
-        let reads = Sequencer::new(IdsChannel::illumina()).sequence(&pool, 45 * 10, &mut rng);
+        let reads =
+            Sequencer::new(IdsChannel::illumina()).sequence(&pool, jobs.len() * 15 * 10, &mut rng);
 
-        let parallel = decode_jobs_parallel(&reads, &jobs, |_| true, 0);
         let sequential: Vec<BlockDecodeOutcome> = jobs
             .iter()
             .map(|j| decode_block_validated(&reads, &j.prefix, &j.reverse, &j.config, |_| true))
             .collect();
-        assert_eq!(parallel.len(), 3);
-        for (i, (p, s)) in parallel.iter().zip(&sequential).enumerate() {
-            assert_eq!(
-                p.versions[&Base::A].unit_bytes,
-                expected[i],
-                "job {i} decoded wrong bytes"
-            );
-            assert_eq!(p.versions, s.versions, "job {i} parallel != sequential");
-            assert_eq!(p.reads_matched, s.reads_matched);
+        for cap in [1, 2, 3, 8] {
+            let mut parallel = Vec::new();
+            decode_jobs_parallel_into(&reads, &jobs, |_| true, cap, &mut parallel);
+            assert_eq!(parallel.len(), 8);
+            for (i, (p, s)) in parallel.iter().zip(&sequential).enumerate() {
+                assert_eq!(
+                    p.versions[&Base::A].unit_bytes,
+                    expected[i],
+                    "cap {cap}: job {i} decoded wrong bytes"
+                );
+                assert_eq!(p.versions, s.versions, "cap {cap}: job {i} versions");
+                assert_eq!(p.failed_versions, s.failed_versions, "cap {cap}: job {i}");
+                assert_eq!(p.reads_matched, s.reads_matched, "cap {cap}: job {i}");
+                assert_eq!(p.clusters_total, s.clusters_total, "cap {cap}: job {i}");
+                assert_eq!(p.clusters_used, s.clusters_used, "cap {cap}: job {i}");
+            }
         }
     }
 
@@ -254,7 +235,7 @@ mod tests {
         let mut pool = Pool::new();
         let mut jobs = Vec::new();
         let mut expected = Vec::new();
-        for (u, index) in indexes().iter().enumerate() {
+        for (u, index) in indexes().iter().take(3).enumerate() {
             let data = unit_bytes(40 + u as u8);
             for s in encode_unit(&data, index, 13, u as u64) {
                 pool.add(s, 100.0, None);
@@ -284,7 +265,8 @@ mod tests {
             );
         }
         // The append path agrees with the one-shot path.
-        let oneshot = decode_jobs_parallel(&reads, &jobs, |_| true, 0);
+        let mut oneshot = Vec::new();
+        decode_jobs_parallel_into(&reads, &jobs, |_| true, 0, &mut oneshot);
         for (a, b) in acc.iter().zip(&oneshot) {
             assert_eq!(a.versions, b.versions);
         }
@@ -292,7 +274,9 @@ mod tests {
 
     #[test]
     fn thread_cap_and_empty_jobs_are_safe() {
-        assert!(decode_jobs_parallel::<Read, _>(&[], &[], |_| true, 4).is_empty());
+        let mut out = Vec::new();
+        decode_jobs_parallel_into::<Read, _>(&[], &[], |_| true, 4, &mut out);
+        assert!(out.is_empty());
         // One job, absurd thread cap: must still work.
         let index = &indexes()[0];
         let data = unit_bytes(9);
@@ -307,7 +291,7 @@ mod tests {
             reverse: rev(),
             config: BlockDecodeConfig::paper_default(7, 0),
         }];
-        let out = decode_jobs_parallel(&reads, &jobs, |_| true, 64);
+        decode_jobs_parallel_into(&reads, &jobs, |_| true, 64, &mut out);
         assert_eq!(out[0].versions[&Base::A].unit_bytes, data.to_vec());
     }
 }

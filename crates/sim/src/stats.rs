@@ -1,7 +1,7 @@
 //! Simulator work counters (`WetlabStats`).
 //!
-//! The fast path (k-mer annealing prefilter, binding caches, sequencing and
-//! decode scratch reuse) changes *how much work* the simulator does without
+//! The fast path (k-mer annealing prefilter, binding caches, sequencer
+//! weight-table reuse) changes *how much work* the simulator does without
 //! changing any observable result. These counters make that work visible:
 //! tests assert the prefilter actually skips species (no silent fallback to
 //! a full scan), and the serving layer exports them per process so operators
@@ -14,7 +14,7 @@
 //!   thread without interference from concurrently running tests;
 //! - **process-global totals** — relaxed atomics, updated by bulk flush at
 //!   the end of each simulator entry point (`MultiplexPcrReaction::run`,
-//!   `Sequencer::sequence*`, decode calls), read by `ServerStats`.
+//!   `Sequencer::sequence*`), read by `ServerStats`.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,8 +41,8 @@ pub struct WetlabStats {
     pub anneal_calls: u64,
     /// Reads drawn from pools by the sequencer.
     pub reads_materialized: u64,
-    /// Times a reusable scratch (sequencer cumulative-weight table, decode
-    /// arena) was reused instead of rebuilt.
+    /// Times the sequencer's cumulative-weight table was reused instead of
+    /// rebuilt (the pool was unchanged since the scratch's previous draw).
     pub scratch_reuses: u64,
 }
 
@@ -120,19 +120,14 @@ pub(crate) fn record_reads_materialized(by: u64) {
     bump(READS, by);
 }
 
-/// Records that a reusable scratch was reused instead of rebuilt.
-///
-/// Public because downstream pipeline stages (decode arenas) report their
-/// reuse through the same bank.
-pub fn record_scratch_reuse(by: u64) {
+pub(crate) fn record_scratch_reuse(by: u64) {
     bump(SCRATCH, by);
 }
 
 /// Flushes this thread's unflushed counts into the process-global bank.
 ///
-/// Called at the end of each simulator entry point; downstream crates that
-/// record through this module (e.g. decode scratch) should call it when a
-/// unit of work completes so serving snapshots stay fresh.
+/// Called at the end of each simulator entry point, so serving snapshots
+/// stay fresh.
 pub fn flush_to_global() {
     let local = LOCAL.with(Cell::get);
     let flushed = FLUSHED.with(Cell::get);

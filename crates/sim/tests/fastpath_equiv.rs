@@ -223,7 +223,7 @@ fn touchdown_temperatures_hit_probability_memo_identically() {
 }
 
 #[test]
-fn sequencing_with_scratch_is_read_identical() {
+fn sequence_into_reusing_scratch_is_read_identical() {
     let mut pool = Pool::new();
     for i in 0..6 {
         pool.add(template(0, i, None), 50.0 * (i + 1) as f64, None);
