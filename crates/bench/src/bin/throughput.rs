@@ -356,8 +356,8 @@ fn main() {
     // the decoded-block cache (the cache-off column above isolates the
     // concurrency layer, and on multi-core hosts the scoped-thread round
     // dispatch adds wall-clock parallelism on top). The bar was raised
-    // from 2x when the wetlab fast path (k-mer annealing prefilter,
-    // binding caches, sequencing/decode scratch reuse) cut per-round
+    // from 2x when the wetlab fast path (binding caches, sparse
+    // amplification, sequencing scratch reuse) cut per-round
     // simulation cost and the sweep's workload was scaled to amortize the
     // serving path's fixed batching windows. Every qualifying cell must
     // also clear a 1.2x sanity floor so a concurrency regression in one

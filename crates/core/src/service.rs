@@ -240,7 +240,8 @@ pub struct ServerStats {
     /// Wetlab fast path: species that reached the full annealing model
     /// (process-global, from [`dna_sim::WetlabStats`]).
     pub wetlab_species_scanned: u64,
-    /// Wetlab fast path: species the k-mer prefilter skipped.
+    /// Always 0 since the k-mer annealing prefilter was removed; kept
+    /// because `/v1/stats` and perfbench read the name.
     pub wetlab_species_skipped: u64,
     /// Wetlab fast path: per-pool binding-cache hits.
     pub wetlab_binding_cache_hits: u64,

@@ -64,11 +64,11 @@ fn invalid(msg: &str) -> io::Error {
 /// protocol violations (bad request line, header overflow, oversized or
 /// unparsable `Content-Length`).
 pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    let mut head_left = MAX_HEAD_BYTES;
+    let line = read_head_line(reader, &mut head_left)?;
+    if line.is_empty() {
         return Ok(None);
     }
-    let mut head_bytes = line.len();
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -85,13 +85,9 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Requ
 
     let mut headers = Vec::new();
     loop {
-        let mut header_line = String::new();
-        if reader.read_line(&mut header_line)? == 0 {
+        let header_line = read_head_line(reader, &mut head_left)?;
+        if header_line.is_empty() {
             return Err(invalid("connection closed mid-headers"));
-        }
-        head_bytes += header_line.len();
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(invalid("request head exceeds cap"));
         }
         let trimmed = header_line.trim_end_matches(['\r', '\n']);
         if trimmed.is_empty() {
@@ -121,6 +117,23 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Requ
         headers,
         body,
     }))
+}
+
+/// Reads one head line (empty at EOF) through the `head_left` bytes that
+/// remain of [`MAX_HEAD_BYTES`], and charges its length to them. Nothing
+/// past the budget is buffered, so a client that never sends `\n` costs
+/// at most the cap before it gets an `InvalidData` error.
+fn read_head_line(reader: &mut BufReader<TcpStream>, head_left: &mut usize) -> io::Result<String> {
+    let mut line = String::new();
+    let n = reader
+        .by_ref()
+        .take(*head_left as u64)
+        .read_line(&mut line)?;
+    if n == *head_left && !line.ends_with('\n') {
+        return Err(invalid("request head exceeds cap"));
+    }
+    *head_left -= n;
+    Ok(line)
 }
 
 /// Writes one response, always with an explicit `Content-Length` so the

@@ -185,6 +185,18 @@ fn malformed_and_unknown_requests_answer_typed_errors() {
     raw.read_to_string(&mut response).expect("read response");
     assert!(response.starts_with("HTTP/1.1 400"), "{response}");
 
+    // A request line that never ends is cut off at the head cap with a 400,
+    // not buffered without bound. The server closes with unread input, so
+    // the read may end in a reset after the response; only the bytes count.
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("raw connect");
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
+    raw.write_all(&[b'A'; 64 * 1024])
+        .expect("write unterminated line");
+    let mut response = String::new();
+    let _ = raw.read_to_string(&mut response);
+    assert!(response.starts_with("HTTP/1.1 400"), "{response:?}");
+
     // The server is still healthy afterwards.
     let stats = client.stats().expect("stats after garbage");
     assert!(stats["serve_protocol_errors"] >= 1);

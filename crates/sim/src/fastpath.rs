@@ -1,38 +1,26 @@
-//! The annealing fast path: k-mer prefilter + cross-round binding caches.
+//! The annealing fast path: cross-round binding caches.
 //!
 //! PCR cost is dominated by `O(species × primers × cycles)` calls into
-//! [`AnnealModel::binding_site`] — a banded alignment of every primer
-//! against every species' 5' region (and, via reverse complement, its 3'
-//! region). Almost all of those alignments conclude "no binding": an
-//! archival tube holds thousands of species and a reaction targets a
-//! handful. This module removes that work in three layers, none of which
-//! changes any observable result:
+//! [`AnnealModel::binding_site`] — a bit-parallel prefix alignment of every
+//! primer against every species' 5' region (and, via reverse complement,
+//! its 3' region). Every species in a partition tube carries the
+//! partition's forward primer, so almost every pair needs its alignment
+//! once; what this module removes is the repetition, in two layers, neither
+//! of which changes any observable result:
 //!
-//! 1. **k-mer piece prefilter** (pigeonhole seeding). Split a primer into
-//!    `max_edit + 1` contiguous pieces. Any alignment with ≤ `max_edit`
-//!    edits damages at most `max_edit` pieces (a substitution or deletion
-//!    consumes one primer position; an insertion only shifts positions), so
-//!    at least one piece survives *edit-free* — it appears **exactly**,
-//!    contiguously, in the site, and its start position is displaced from
-//!    its primer offset by at most `max_edit` (the net indel drift). So: if
-//!    no piece of the primer occurs verbatim in the species prefix within
-//!    `± max_edit` of its primer offset, `binding_site` is guaranteed to
-//!    return `None` and is never called. Pieces are packed 2-bit k-mers
-//!    (same representation as `dna_seq::kmer`) compared against a cached
-//!    positional k-mer table of the species prefix.
-//! 2. **Binding-site cache** keyed by (species sequence, primer,
+//! 1. **Binding-site cache** keyed by (species sequence, primer,
 //!    orientation), thread-local, surviving across cycles *and* across
 //!    reaction rounds — re-amplifying the same tube never re-aligns.
-//! 3. **Probability memo** keyed by (primer, site geometry, temperature
+//! 2. **Probability memo** keyed by (primer, site geometry, temperature
 //!    bits): `binding_probability` depends on the primer only through its
 //!    melting temperature, so each (distance, 3'-distance, temperature)
 //!    triple is computed once per primer.
 //!
-//! All three are pure-function memos: cached values equal what the model
-//! would compute, so results are bit-identical regardless of cache state
-//! (pinned by `tests/fastpath_equiv.rs`). Caches are thread-local — no
-//! locks, no lock-rank interactions with the store — and self-limit their
-//! footprint by clearing when over capacity.
+//! Both are pure-function memos: cached values equal what the model would
+//! compute, so results are bit-identical regardless of cache state (pinned
+//! by `tests/fastpath_equiv.rs`). Caches are thread-local — no locks, no
+//! lock-rank interactions with the store — and self-limit their footprint
+//! by clearing when over capacity.
 
 use crate::anneal::{AnnealModel, BindingSite};
 use crate::stats;
@@ -54,56 +42,10 @@ pub(crate) enum Orientation {
     Reverse,
 }
 
-/// An interned primer with its precomputed prefilter pieces.
-struct PrimerEntry {
-    seq: DnaSeq,
-    /// `(primer_offset, piece_len, packed_piece)`; empty when the primer is
-    /// too short (or a piece too long) to prefilter — then every species is
-    /// a candidate.
-    pieces: Vec<(usize, u8, u64)>,
-}
-
-/// Positional packed k-mers over a sequence prefix, for one k.
-#[derive(Default)]
-struct PrefixKmers {
-    /// `vals[p]` = packed `seq[p..p + k]`; computed for the prefix
-    /// `seq[..covered]`.
-    covered: usize,
-    vals: Vec<u64>,
-}
-
-impl PrefixKmers {
-    /// Ensures `vals` covers windows inside `seq[..needed_end]` (clamped to
-    /// the sequence length).
-    fn ensure(&mut self, seq: &DnaSeq, k: usize, needed_end: usize) {
-        let end = needed_end.min(seq.len());
-        if end <= self.covered {
-            return;
-        }
-        debug_assert!((1..=32).contains(&k));
-        let mask = if k == 32 {
-            u64::MAX
-        } else {
-            (1u64 << (2 * k)) - 1
-        };
-        self.vals.clear();
-        let mut acc = 0u64;
-        for (i, b) in seq.as_slice()[..end].iter().enumerate() {
-            acc = ((acc << 2) | u64::from(b.code())) & mask;
-            if i + 1 >= k {
-                self.vals.push(acc);
-            }
-        }
-        self.covered = end;
-    }
-}
-
-/// Cached per-species data: reverse complement, positional prefix k-mers
-/// (per k, per orientation), and resolved binding sites per primer.
+/// Cached per-species data: reverse complement and resolved binding sites
+/// per primer.
 struct SpeciesEntry {
     rc: DnaSeq,
-    fwd_kmers: HashMap<u8, PrefixKmers>,
-    rc_kmers: HashMap<u8, PrefixKmers>,
     /// Binding-site results keyed by interned primer id.
     fwd_sites: HashMap<u32, Option<BindingSite>>,
     rc_sites: HashMap<u32, Option<BindingSite>>,
@@ -114,7 +56,7 @@ struct SpeciesEntry {
 pub(crate) struct ModelCache {
     model: AnnealModel,
     primer_ids: HashMap<DnaSeq, u32>,
-    primers: Vec<PrimerEntry>,
+    primers: Vec<DnaSeq>,
     species: HashMap<DnaSeq, SpeciesEntry>,
     /// (primer_id, dist, three_prime_dist, temp bits) → probability.
     prob_memo: HashMap<(u32, u8, u8, u64), f64>,
@@ -131,22 +73,19 @@ impl ModelCache {
         }
     }
 
-    /// Interns a primer, precomputing its prefilter pieces.
+    /// Interns a primer.
     pub(crate) fn intern_primer(&mut self, seq: &DnaSeq) -> u32 {
         if let Some(&id) = self.primer_ids.get(seq) {
             return id;
         }
         let id = self.primers.len() as u32;
         self.primer_ids.insert(seq.clone(), id);
-        self.primers.push(PrimerEntry {
-            seq: seq.clone(),
-            pieces: split_pieces(seq, self.model.max_edit),
-        });
+        self.primers.push(seq.clone());
         id
     }
 
     /// Binding geometry of primer `id` against `seq` in the given
-    /// orientation — cached, prefiltered.
+    /// orientation — cached.
     pub(crate) fn site(
         &mut self,
         seq: &DnaSeq,
@@ -156,36 +95,25 @@ impl ModelCache {
         if self.species.len() >= MAX_SPECIES_ENTRIES && !self.species.contains_key(seq) {
             self.species.clear();
         }
-        let entry = self.species.entry(seq.clone()).or_insert_with(|| {
-            let rc = seq.reverse_complement();
-            SpeciesEntry {
-                rc,
-                fwd_kmers: HashMap::new(),
-                rc_kmers: HashMap::new(),
+        let entry = self
+            .species
+            .entry(seq.clone())
+            .or_insert_with(|| SpeciesEntry {
+                rc: seq.reverse_complement(),
                 fwd_sites: HashMap::new(),
                 rc_sites: HashMap::new(),
-            }
-        });
-        let (sites, kmers, target): (_, _, &DnaSeq) = match orientation {
-            Orientation::Forward => (&mut entry.fwd_sites, &mut entry.fwd_kmers, seq),
-            Orientation::Reverse => (&mut entry.rc_sites, &mut entry.rc_kmers, &entry.rc),
+            });
+        let (sites, target): (_, &DnaSeq) = match orientation {
+            Orientation::Forward => (&mut entry.fwd_sites, seq),
+            Orientation::Reverse => (&mut entry.rc_sites, &entry.rc),
         };
         if let Some(&cached) = sites.get(&id) {
             stats::record_binding_cache_hits(1);
             return cached;
         }
-        let primer = &self.primers[id as usize];
-        let max_edit = self.model.max_edit;
-        let result = if !primer.pieces.is_empty() && !piece_match(kmers, target, primer, max_edit) {
-            // Pigeonhole guarantee: no edit-free piece within the ±max_edit
-            // band ⇒ no window within max_edit edits ⇒ binding_site is None.
-            stats::record_species_skipped(1);
-            None
-        } else {
-            stats::record_species_scanned(1);
-            stats::record_anneal_calls(1);
-            self.model.binding_site(&primer.seq, target)
-        };
+        stats::record_species_scanned(1);
+        stats::record_anneal_calls(1);
+        let result = self.model.binding_site(&self.primers[id as usize], target);
         sites.insert(id, result);
         result
     }
@@ -207,62 +135,10 @@ impl ModelCache {
         stats::record_anneal_calls(1);
         let p = self
             .model
-            .binding_probability(&self.primers[id as usize].seq, site, temp);
+            .binding_probability(&self.primers[id as usize], site, temp);
         self.prob_memo.insert(key, p);
         p
     }
-}
-
-/// Splits `primer` into `max_edit + 1` contiguous pieces (lengths as even
-/// as possible, longer pieces first), packed for exact-match testing.
-/// Returns an empty vec — prefilter disabled — when any piece would be
-/// empty or longer than 32 bases.
-fn split_pieces(primer: &DnaSeq, max_edit: usize) -> Vec<(usize, u8, u64)> {
-    let n = primer.len();
-    let parts = max_edit + 1;
-    if n < parts {
-        return Vec::new();
-    }
-    let base = n / parts;
-    let rem = n % parts;
-    if base + usize::from(rem > 0) > 32 {
-        return Vec::new();
-    }
-    let mut pieces = Vec::with_capacity(parts);
-    let mut off = 0usize;
-    for j in 0..parts {
-        let len = base + usize::from(j < rem);
-        let mut packed = 0u64;
-        for b in &primer.as_slice()[off..off + len] {
-            packed = (packed << 2) | u64::from(b.code());
-        }
-        pieces.push((off, len as u8, packed));
-        off += len;
-    }
-    pieces
-}
-
-/// Does any primer piece occur verbatim in `target`'s prefix within
-/// `± max_edit` of its primer offset?
-fn piece_match(
-    kmers: &mut HashMap<u8, PrefixKmers>,
-    target: &DnaSeq,
-    primer: &PrimerEntry,
-    max_edit: usize,
-) -> bool {
-    for &(off, k, packed) in &primer.pieces {
-        let ku = usize::from(k);
-        let table = kmers.entry(k).or_default();
-        table.ensure(target, ku, off + max_edit + ku);
-        let lo = off.saturating_sub(max_edit);
-        let hi = off + max_edit;
-        for p in lo..=hi {
-            if table.vals.get(p) == Some(&packed) {
-                return true;
-            }
-        }
-    }
-    false
 }
 
 thread_local! {
@@ -294,88 +170,6 @@ mod tests {
         DnaSeq::from_bases((0..n).map(|i| Base::from_code(((i + phase) % 4) as u8)))
     }
 
-    /// The prefilter must never skip a pair the model would accept: for a
-    /// grid of primers and sites (including engineered near-misses), a
-    /// piece-test failure implies `binding_site` is `None`.
-    #[test]
-    fn prefilter_never_skips_a_binding_site() {
-        let model = AnnealModel::calibrated();
-        let mut primers: Vec<DnaSeq> = vec![
-            balanced(20, 0),
-            balanced(20, 1),
-            balanced(31, 2),
-            "AACCGGTTAACCGGTTAACC".parse().unwrap(),
-        ];
-        // Mutated copies of a primer: up to max_edit+2 edits.
-        let base: DnaSeq = "ACGTTGCAACGTTGCAACGT".parse().unwrap();
-        primers.push(base.clone());
-        let mut sites: Vec<DnaSeq> = Vec::new();
-        for edits in 0..=model.max_edit + 2 {
-            let mut bases: Vec<Base> = base.as_slice().to_vec();
-            for e in 0..edits {
-                let pos = (e * 7 + 3) % bases.len();
-                bases[pos] = Base::from_code((bases[pos].code() + 1) & 0b11);
-            }
-            let mut site = DnaSeq::from_bases(bases);
-            site.extend_from_slice(balanced(40, edits).as_slice());
-            sites.push(site);
-        }
-        // Deletion / insertion variants.
-        let mut del: Vec<Base> = base.as_slice().to_vec();
-        del.remove(5);
-        let mut ds = DnaSeq::from_bases(del);
-        ds.extend_from_slice(balanced(40, 1).as_slice());
-        sites.push(ds);
-        let mut ins: Vec<Base> = base.as_slice().to_vec();
-        ins.insert(9, Base::from_code(2));
-        let mut is_ = DnaSeq::from_bases(ins);
-        is_.extend_from_slice(balanced(40, 2).as_slice());
-        sites.push(is_);
-        sites.push(balanced(60, 3));
-        sites.push(balanced(8, 0)); // shorter than the primers
-
-        for primer in &primers {
-            let pieces = split_pieces(primer, model.max_edit);
-            assert!(!pieces.is_empty(), "test primers should be splittable");
-            let entry = PrimerEntry {
-                seq: primer.clone(),
-                pieces,
-            };
-            for site in &sites {
-                let mut kmers = HashMap::new();
-                let candidate = piece_match(&mut kmers, site, &entry, model.max_edit);
-                let bound = model.binding_site(primer, site);
-                if bound.is_some() {
-                    assert!(
-                        candidate,
-                        "prefilter skipped a binding pair: primer {primer} site {site}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pieces_partition_the_primer() {
-        let primer = balanced(20, 0);
-        let pieces = split_pieces(&primer, 4);
-        assert_eq!(pieces.len(), 5);
-        let mut expect_off = 0;
-        for &(off, k, _) in &pieces {
-            assert_eq!(off, expect_off);
-            expect_off += usize::from(k);
-        }
-        assert_eq!(expect_off, primer.len());
-        // 31 bases into 5 pieces: 7,6,6,6,6.
-        let lens: Vec<u8> = split_pieces(&balanced(31, 0), 4)
-            .iter()
-            .map(|&(_, k, _)| k)
-            .collect();
-        assert_eq!(lens, [7, 6, 6, 6, 6]);
-        // Too short to split: prefilter disabled.
-        assert!(split_pieces(&balanced(3, 0), 4).is_empty());
-    }
-
     #[test]
     fn cache_results_match_model_and_count_hits() {
         let model = AnnealModel::calibrated();
@@ -395,12 +189,18 @@ mod tests {
             let d = stats::thread_totals().delta_since(&before);
             assert_eq!(d.binding_cache_hits, 1);
             assert_eq!(d.species_scanned, 1);
-            // A non-candidate species is skipped without an alignment.
+            // A non-binding species costs one alignment, then is a cache
+            // hit; both lookups agree with the model's `None`.
+            assert_eq!(model.binding_site(&primer, &other), None);
             let before = stats::thread_totals();
             assert_eq!(mc.site(&other, id, Orientation::Forward), None);
-            assert_eq!(model.binding_site(&primer, &other), None);
             let d = stats::thread_totals().delta_since(&before);
-            assert_eq!(d.species_skipped, 1);
+            assert_eq!(d.species_scanned, 1);
+            assert_eq!(d.species_skipped, 0);
+            let before = stats::thread_totals();
+            assert_eq!(mc.site(&other, id, Orientation::Forward), None);
+            let d = stats::thread_totals().delta_since(&before);
+            assert_eq!(d.binding_cache_hits, 1);
             assert_eq!(d.species_scanned, 0);
             // Probability memo returns the exact model value.
             let site = s1.unwrap();

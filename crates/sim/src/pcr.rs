@@ -264,13 +264,13 @@ impl MultiplexPcrReaction {
     /// multiplexing introduces. Budgets are tracked per primer, so one
     /// channel plateauing never silently throttles another.
     ///
-    /// This is the fast path: species are prefiltered through the k-mer
-    /// annealing index (see `fastpath`), binding geometry and probabilities
-    /// are served from thread-local caches that survive across cycles and
-    /// rounds, contributions reference species by index instead of cloned
-    /// sequences, and per-cycle updates touch only the amplified species —
-    /// the output pool is the input plus a sparse delta. Results are
-    /// bit-identical to [`MultiplexPcrReaction::run_reference`] (pinned by
+    /// This is the fast path: binding geometry and probabilities are
+    /// served from thread-local caches (see `fastpath`) that survive
+    /// across cycles and rounds, contributions reference species by index
+    /// instead of cloned sequences, and per-cycle updates touch only the
+    /// amplified species — the output pool is the input plus a sparse
+    /// delta. Results are bit-identical to
+    /// [`MultiplexPcrReaction::run_reference`] (pinned by
     /// `tests/fastpath_equiv.rs`).
     pub fn run(&self, input: &Pool) -> MultiplexOutcome {
         let forwards: Vec<(usize, &PcrPrimer)> = self
@@ -493,10 +493,10 @@ impl MultiplexPcrReaction {
         }
     }
 
-    /// Reference engine: the original dense per-cycle scan with no caches
-    /// and no prefilter. Kept as the oracle for the golden-equivalence
-    /// suite and as the microbench baseline — [`MultiplexPcrReaction::run`]
-    /// must produce bit-identical pools, budgets and misprime counts.
+    /// Reference engine: the original dense per-cycle scan with no caches.
+    /// Kept as the oracle for the golden-equivalence suite and as the
+    /// microbench baseline — [`MultiplexPcrReaction::run`] must produce
+    /// bit-identical pools, budgets and misprime counts.
     pub fn run_reference(&self, input: &Pool) -> MultiplexOutcome {
         let anneal = &self.protocol.anneal;
         // Flatten forwards, remembering each primer's channel.

@@ -1,11 +1,16 @@
 //! Simulator work counters (`WetlabStats`).
 //!
-//! The fast path (k-mer annealing prefilter, binding caches, sequencer
-//! weight-table reuse) changes *how much work* the simulator does without
-//! changing any observable result. These counters make that work visible:
-//! tests assert the prefilter actually skips species (no silent fallback to
-//! a full scan), and the serving layer exports them per process so operators
-//! can see simulator effort behind each request mix.
+//! The fast path (binding caches, sequencer weight-table reuse) changes
+//! *how much work* the simulator does without changing any observable
+//! result. These counters make that work visible: tests assert the caches
+//! actually hit (no silent fallback to a full scan), and the serving layer
+//! exports them per process so operators can see simulator effort behind
+//! each request mix.
+//!
+//! `species_skipped` is always 0: it counted pairs rejected by the k-mer
+//! annealing prefilter, which was removed because a partition tube gave it
+//! nothing to reject. The field stays because `/v1/stats` and perfbench
+//! read the name.
 //!
 //! Two banks are kept:
 //!
@@ -31,8 +36,8 @@ pub struct WetlabStats {
     /// (species, primer, orientation) pairs whose binding geometry was
     /// computed with a full `binding_site` alignment scan.
     pub species_scanned: u64,
-    /// Pairs rejected by the k-mer prefilter without running the alignment
-    /// scan (the prefilter proves no window within `max_edit` exists).
+    /// Always 0 since the k-mer annealing prefilter was removed; kept
+    /// because `/v1/stats` and perfbench read the name.
     pub species_skipped: u64,
     /// Pairs answered from the cross-cycle/cross-round binding cache.
     pub binding_cache_hits: u64,
@@ -76,7 +81,6 @@ impl WetlabStats {
 }
 
 const SCANNED: usize = 0;
-const SKIPPED: usize = 1;
 const CACHE_HITS: usize = 2;
 const ANNEAL: usize = 3;
 const READS: usize = 4;
@@ -102,10 +106,6 @@ fn bump(idx: usize, by: u64) {
 
 pub(crate) fn record_species_scanned(by: u64) {
     bump(SCANNED, by);
-}
-
-pub(crate) fn record_species_skipped(by: u64) {
-    bump(SKIPPED, by);
 }
 
 pub(crate) fn record_binding_cache_hits(by: u64) {
@@ -164,11 +164,9 @@ mod tests {
         let before_thread = thread_totals();
         let before_global = global_totals();
         record_species_scanned(3);
-        record_species_skipped(10);
         record_scratch_reuse(1);
         let d = thread_totals().delta_since(&before_thread);
         assert_eq!(d.species_scanned, 3);
-        assert_eq!(d.species_skipped, 10);
         assert_eq!(d.scratch_reuses, 1);
         // Flushing publishes the delta to the global bank (other threads may
         // add concurrently, so only lower bounds hold).
@@ -176,7 +174,6 @@ mod tests {
         flush_to_global(); // idempotent: second flush has nothing new
         let g = global_totals().delta_since(&before_global);
         assert!(g.species_scanned >= 3);
-        assert!(g.species_skipped >= 10);
         assert!(g.scratch_reuses >= 1);
     }
 
