@@ -5,8 +5,8 @@
 //! over a mostly-non-target pool, repeated sequencing of one product, one
 //! range read's primer search):
 //!
-//! 1. **Binding cache** — `PcrReaction::run` (cross-cycle binding cache,
-//!    probability memo, sparse application) vs the retained dense engine
+//! 1. **Binding cache** — `PcrReaction::run` (per-reaction window memo,
+//!    probability table, sparse application) vs the retained dense engine
 //!    `run_reference`.
 //! 2. **Sparse amplification** — the same pair on a pool where almost no
 //!    species amplifies, isolating the per-cycle bookkeeping cost.
@@ -16,6 +16,9 @@
 //!    `PrefixAligner` pass per primer) vs the per-window banded
 //!    edit-distance scan it replaced, written out below as the reference,
 //!    over one range-read round's reads and filters.
+//! 5. **Partition tube** — the PCR pair again, on a real paper partition's
+//!    tube, read with one block's elongated primer and with an 8-block
+//!    prefix cover: every strand carries the partition's primers.
 //!
 //! Every layer's fast path is asserted equal to its baseline *in this
 //! binary* before timing (the exhaustive oracle lives in
@@ -27,12 +30,14 @@
 //! number; CI re-runs the binary, which asserts the gates.
 
 use dna_bench::report;
+use dna_block_store::{workload, BlockStore, PartitionConfig, BLOCK_SIZE};
 use dna_pipeline::{BlockDecodeConfig, ReadFilter};
 use dna_seq::distance::levenshtein_bounded;
 use dna_seq::rng::DetRng;
 use dna_seq::{Base, DnaSeq};
 use dna_sim::{
-    IdsChannel, PcrPrimer, PcrProtocol, PcrReaction, Pool, Read, Sequencer, SequencerScratch,
+    IdsChannel, MultiplexOutcome, MultiplexPcrReaction, PcrPrimer, PcrProtocol, PcrReaction, Pool,
+    PrimerChannel, Read, Sequencer, SequencerScratch,
 };
 use std::time::Instant;
 
@@ -50,10 +55,9 @@ struct Layer {
 const BATCHES: usize = 5;
 
 /// Per-call milliseconds of `baseline` and `fast`, as `(baseline, fast)`.
-/// After one warmup call each (populating thread-local caches exactly like
-/// steady state), the two sides run [`BATCHES`] interleaved batches of
-/// `reps` calls, so host load drifts over both alike; each side reports
-/// its median batch.
+/// After one warmup call each, the two sides run [`BATCHES`] interleaved
+/// batches of `reps` calls, so host load drifts over both alike; each
+/// side reports its median batch.
 fn time_ms<R>(
     reps: usize,
     mut baseline: impl FnMut() -> R,
@@ -145,7 +149,7 @@ fn bench_binding_cache() -> Layer {
     let reference = rxn.run_reference(&pool);
     assert_eq!(fast.pool, reference.pool, "fast path diverged");
     assert_eq!(fast.fwd_consumed, reference.fwd_consumed);
-    // Counters of one warm run, which is what every timed run is.
+    // Counters of one run; every run does the same work.
     let before = dna_sim::stats::thread_totals();
     let _ = rxn.run(&pool);
     let delta = dna_sim::stats::thread_totals().delta_since(&before);
@@ -159,9 +163,8 @@ fn bench_binding_cache() -> Layer {
         gate: 2.0,
         rationale: "the dense engine aligns every (species, primer) pair \
                     in each of 12 cycles and applies the whole tube; the fast \
-                    engine resolves each pair once per reaction, from the \
-                    thread-local binding cache after the first round (the \
-                    timed runs are warm, so every lookup is a hit), and \
+                    engine aligns each distinct (primer, site window) once \
+                    per reaction (the 8 targets share one 3' window) and \
                     applies only the 8 amplified species of the 200, so well \
                     over half of the dense engine's work must disappear — 2x \
                     is conservative and fails if binding reuse or sparse \
@@ -420,6 +423,111 @@ fn bench_decode_filter() -> Layer {
 }
 
 // ---------------------------------------------------------------------------
+// layer 5: a store partition's tube
+// ---------------------------------------------------------------------------
+
+/// A one-channel reaction over `tube` with the store's budgets: 20x the
+/// tube's copies, split across the forward scope by weight.
+fn partition_rxn(tube: &Pool, scope: Vec<(DnaSeq, f64)>, rev: &DnaSeq) -> MultiplexPcrReaction {
+    let budget = tube.total_copies() * 20.0;
+    let total: f64 = scope.iter().map(|(_, w)| w).sum();
+    MultiplexPcrReaction {
+        channels: vec![PrimerChannel {
+            forward_primers: scope
+                .into_iter()
+                .map(|(p, w)| PcrPrimer::with_budget(p, budget * w / total))
+                .collect(),
+            reverse_primer: PcrPrimer::with_budget(rev.clone(), budget),
+        }],
+        protocol: PcrProtocol::paper_block_access(),
+    }
+}
+
+fn bench_partition_tube() -> Layer {
+    // One paper partition with 48 blocks written: 720 species, each
+    // carrying the partition's forward primer and reverse site, reacted
+    // as a cold read (one block's 31-base elongated primer) and as a range
+    // read (the two 29-base primers covering blocks 8..=15).
+    let store = BlockStore::new(19);
+    let pid = store
+        .create_partition(PartitionConfig::paper_default(19))
+        .expect("create partition");
+    store
+        .write_file(pid, &workload::deterministic_text(48 * BLOCK_SIZE, 19))
+        .expect("write 48 blocks");
+    let partition = store.partition(pid).expect("partition");
+    let tube = store.tube(pid).expect("tube");
+    let rev = partition.primers().reverse().clone();
+    let cover = partition.range_prefixes_weighted(8, 15);
+    assert_eq!(
+        cover.iter().map(|(p, _)| p.len()).collect::<Vec<_>>(),
+        [29, 29]
+    );
+    let reactions = [
+        partition_rxn(&tube, vec![(partition.elongated_primer(2), 1.0)], &rev),
+        partition_rxn(&tube, cover, &rev),
+    ];
+    let before = dna_sim::stats::thread_totals();
+    let mut species_out = 0;
+    for rxn in &reactions {
+        let fast = rxn.run(&tube);
+        let reference = rxn.run_reference(&tube);
+        assert_eq!(fast.pool, reference.pool, "fast path diverged");
+        assert_eq!(fast.fwd_consumed, reference.fwd_consumed);
+        assert_eq!(fast.rev_consumed, reference.rev_consumed);
+        assert_eq!(fast.misprime_species, reference.misprime_species);
+        species_out += fast.pool.distinct() as u64;
+    }
+    let delta = dna_sim::stats::thread_totals().delta_since(&before);
+    // The memo's work is pinned exactly (1005 distinct windows for the
+    // elongated primer, 688 for the cover), so a fallback to per-species
+    // alignment — 8970 alignments here, yet still above the time gate —
+    // fails on any host.
+    assert_eq!(
+        delta.species_scanned, 1693,
+        "alignments per (primer, site window) changed"
+    );
+
+    let run_all = |run: fn(&MultiplexPcrReaction, &Pool) -> MultiplexOutcome| {
+        reactions
+            .iter()
+            .map(|rxn| run(rxn, &tube).pool.distinct())
+            .sum::<usize>()
+    };
+    let (baseline_ms, fast_ms) = time_ms(
+        1,
+        || run_all(MultiplexPcrReaction::run_reference),
+        || run_all(MultiplexPcrReaction::run),
+    );
+    Layer {
+        name: "pcr_partition_tube",
+        baseline_ms,
+        fast_ms,
+        speedup: baseline_ms / fast_ms.max(1e-9),
+        gate: 10.0,
+        rationale: "a paper partition tube (720 species) read with one \
+                    block's elongated primer and with an 8-block prefix \
+                    cover; nearly every strand binds, and mispriming grows \
+                    the pool to 1425 and 2040 species. The dense engine \
+                    aligns every species against every primer; the fast \
+                    engine aligns each distinct (primer, site window) once \
+                    per reaction (all strands share one 3' window, and \
+                    products collapse onto a few forward windows) and \
+                    applies only amplified species. 10x fails if the \
+                    engine loses its sparse bookkeeping; per-species \
+                    alignment measured about 13x, so the exact alignment \
+                    count asserted beside this gate is what catches that \
+                    fallback",
+        counters: vec![
+            ("tube_species", tube.distinct() as u64),
+            ("species_out", species_out),
+            ("species_scanned", delta.species_scanned),
+            ("binding_cache_hits", delta.binding_cache_hits),
+        ],
+    }
+}
+
+// ---------------------------------------------------------------------------
 // report + JSON
 // ---------------------------------------------------------------------------
 
@@ -457,6 +565,7 @@ fn main() {
         bench_sparse_amplify(),
         bench_sequencing(),
         bench_decode_filter(),
+        bench_partition_tube(),
     ];
     for l in &layers {
         report::row(

@@ -237,13 +237,15 @@ pub struct ServerStats {
     pub units_reclaimed: u64,
     /// Fresh base units re-synthesized by maintenance compaction.
     pub rewrites_synthesized: u64,
-    /// Wetlab fast path: species that reached the full annealing model
-    /// (process-global, from [`dna_sim::WetlabStats`]).
+    /// Wetlab fast path: PCR `binding_site` alignments, one per (primer,
+    /// distinct site window) per reaction (process-global, from
+    /// [`dna_sim::WetlabStats`]).
     pub wetlab_species_scanned: u64,
     /// Always 0 since the k-mer annealing prefilter was removed; kept
     /// because `/v1/stats` and perfbench read the name.
     pub wetlab_species_skipped: u64,
-    /// Wetlab fast path: per-pool binding-cache hits.
+    /// Wetlab fast path: binding lookups answered from a reaction's window
+    /// memo.
     pub wetlab_binding_cache_hits: u64,
     /// Wetlab fast path: full annealing-model evaluations.
     pub wetlab_anneal_calls: u64,

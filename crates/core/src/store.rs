@@ -90,6 +90,7 @@ use dna_sim::{
     IdsChannel, Molecule, MultiplexPcrReaction, Nanodrop, PcrPrimer, PcrProtocol, Pool,
     PrimerChannel, Sequencer, SynthesisVendor, TubeRack,
 };
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::sync::Arc;
@@ -2241,10 +2242,18 @@ fn execute_round(
         keys,
         ..
     } = plan;
-    let mut reaction = Pool::new();
-    for tube in tubes {
-        reaction.mix_in(tube, 1.0, 1.0);
-    }
+    // A lone tube reacts as it stands: copying it into a fresh pool would
+    // give the same species, abundances and order.
+    let reaction: Cow<'_, Pool> = match tubes {
+        [tube] => Cow::Borrowed(tube),
+        _ => {
+            let mut pool = Pool::new();
+            for tube in tubes {
+                pool.mix_in(tube, 1.0, 1.0);
+            }
+            Cow::Owned(pool)
+        }
+    };
     // The primer budget is 20× the reaction's template count, so cycles
     // end in template competition rather than primer exhaustion. Each
     // channel's share is proportional to its share of the units in scope

@@ -3,10 +3,11 @@
 //! Supports exactly what the serving protocol needs: request line +
 //! headers + `Content-Length` bodies, keep-alive by default with
 //! `Connection: close` honored, and hard caps on header and body size so
-//! a misbehaving client cannot balloon server memory. Anything outside
-//! that subset (chunked encoding, upgrades, pipelining beyond
-//! read-one-write-one) is rejected with a clean error, never undefined
-//! behavior.
+//! a misbehaving client cannot balloon server memory. A request with a
+//! `Transfer-Encoding` header (chunked bodies) or with `Content-Length`
+//! headers that disagree is rejected with a clean error, never read as
+//! something else. Upgrades and pipelining beyond read-one-write-one are
+//! not supported.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -61,8 +62,8 @@ fn invalid(msg: &str) -> io::Error {
 /// # Errors
 ///
 /// I/O errors from the socket, plus [`io::ErrorKind::InvalidData`] for
-/// protocol violations (bad request line, header overflow, oversized or
-/// unparsable `Content-Length`).
+/// protocol violations (bad request line, header overflow, an oversized,
+/// unparsable or conflicting `Content-Length`, any `Transfer-Encoding`).
 pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>> {
     let mut head_left = MAX_HEAD_BYTES;
     let line = read_head_line(reader, &mut head_left)?;
@@ -99,13 +100,7 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Requ
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
 
-    let content_length = headers
-        .iter()
-        .find(|(n, _)| n == "content-length")
-        .map(|(_, v)| v.parse::<usize>())
-        .transpose()
-        .map_err(|_| invalid("unparsable content-length"))?
-        .unwrap_or(0);
+    let content_length = body_length(&headers)?;
     if content_length > MAX_BODY_BYTES {
         return Err(invalid("request body exceeds cap"));
     }
@@ -117,6 +112,28 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Requ
         headers,
         body,
     }))
+}
+
+/// The body length the headers declare (0 without `Content-Length`).
+/// Without chunked decoding, a body framed any other way than by one
+/// agreed length would be misread, its tail parsed as the next message:
+/// any `Transfer-Encoding`, and `Content-Length` headers that disagree,
+/// are refused instead.
+fn body_length(headers: &[(String, String)]) -> io::Result<usize> {
+    if headers.iter().any(|(n, _)| n == "transfer-encoding") {
+        return Err(invalid("transfer-encoding is not supported"));
+    }
+    let mut length = None;
+    for (_, v) in headers.iter().filter(|(n, _)| n == "content-length") {
+        let len = v
+            .parse::<usize>()
+            .map_err(|_| invalid("unparsable content-length"))?;
+        if length.is_some_and(|first| first != len) {
+            return Err(invalid("conflicting content-length headers"));
+        }
+        length = Some(len);
+    }
+    Ok(length.unwrap_or(0))
 }
 
 /// Reads one head line (empty at EOF) through the `head_left` bytes that
@@ -174,7 +191,8 @@ pub type RawResponse = (u16, Vec<(String, String)>, Vec<u8>);
 /// # Errors
 ///
 /// I/O errors, plus [`io::ErrorKind::InvalidData`] on malformed status
-/// lines or headers. Clean EOF before a status line is
+/// lines or headers, including a body framed as `read_request` refuses.
+/// Clean EOF before a status line is
 /// [`io::ErrorKind::UnexpectedEof`].
 pub fn read_response(reader: &mut BufReader<TcpStream>) -> io::Result<RawResponse> {
     let mut line = String::new();
@@ -203,13 +221,7 @@ pub fn read_response(reader: &mut BufReader<TcpStream>) -> io::Result<RawRespons
             headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
         }
     }
-    let content_length = headers
-        .iter()
-        .find(|(n, _)| n == "content-length")
-        .map(|(_, v)| v.parse::<usize>())
-        .transpose()
-        .map_err(|_| invalid("unparsable content-length"))?
-        .unwrap_or(0);
+    let content_length = body_length(&headers)?;
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
     Ok((status, headers, body))

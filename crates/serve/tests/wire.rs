@@ -197,8 +197,55 @@ fn malformed_and_unknown_requests_answer_typed_errors() {
     let _ = raw.read_to_string(&mut response);
     assert!(response.starts_with("HTTP/1.1 400"), "{response:?}");
 
+    // Bodies framed by anything but one agreed `Content-Length` get a 400
+    // and act on nothing: a chunked body is not read as an empty body
+    // followed by a second request made of chunk bytes, and of two
+    // disagreeing lengths neither wins.
+    let pid = client.create_partition(7).expect("create partition");
+    let data = String::from_utf8(dna_block_store::workload::deterministic_text(BLOCK_SIZE, 5))
+        .expect("deterministic text is ASCII");
+    let chunked = |head: &str| {
+        format!(
+            "{head}\r\ntransfer-encoding: chunked\r\n\r\n{:x}\r\n{data}\r\n0\r\n\r\n",
+            data.len()
+        )
+    };
+    let conflicting = |head: &str| {
+        format!(
+            "{head}\r\ncontent-length: 10\r\ncontent-length: {}\r\n\r\n{data}",
+            data.len()
+        )
+    };
+    let files = format!("PUT /v1/files/{pid} HTTP/1.1");
+    for request in [
+        chunked("POST /v1/partitions HTTP/1.1"),
+        chunked(&files),
+        conflicting("POST /v1/partitions HTTP/1.1"),
+        conflicting(&files),
+    ] {
+        let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("raw connect");
+        raw.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .expect("read timeout");
+        raw.write_all(request.as_bytes()).expect("write request");
+        let mut response = String::new();
+        let _ = raw.read_to_string(&mut response);
+        assert!(response.starts_with("HTTP/1.1 400"), "{response:?}");
+    }
+    // Block 0 is still unwritten: a second write there would be refused.
+    assert_eq!(
+        client
+            .write_file(pid, data.as_bytes())
+            .expect("a refused body wrote a file"),
+        1
+    );
+    assert_eq!(
+        client.create_partition(8).expect("create partition"),
+        pid + 1,
+        "a refused request created a partition"
+    );
+
     // The server is still healthy afterwards.
     let stats = client.stats().expect("stats after garbage");
-    assert!(stats["serve_protocol_errors"] >= 1);
+    assert!(stats["serve_protocol_errors"] >= 6);
     server.stop();
 }

@@ -1,164 +1,156 @@
-//! The annealing fast path: cross-round binding caches.
+//! Per-reaction annealing tables.
 //!
-//! PCR cost is dominated by `O(species × primers × cycles)` calls into
-//! [`AnnealModel::binding_site`] — a bit-parallel prefix alignment of every
-//! primer against every species' 5' region (and, via reverse complement,
-//! its 3' region). Every species in a partition tube carries the
-//! partition's forward primer, so almost every pair needs its alignment
-//! once; what this module removes is the repetition, in two layers, neither
-//! of which changes any observable result:
+//! PCR cost is dominated by calls into [`AnnealModel::binding_site`] — a
+//! bit-parallel prefix alignment of each primer against a species' 5'
+//! region, and of each reverse primer against its 3' region. The
+//! alignment reads only the first `primer.len() + max_edit` bases of a
+//! site, and in a partition tube those windows repeat: every strand ends
+//! with the same reverse-primer site, and the mispriming products
+//! `P + template[|P|..]` collapse onto a few forward windows. So
+//! [`AnnealTables`] resolves each (primer, window) pair once per
+//! reaction:
 //!
-//! 1. **Binding-site cache** keyed by (species sequence, primer,
-//!    orientation), thread-local, surviving across cycles *and* across
-//!    reaction rounds — re-amplifying the same tube never re-aligns.
-//! 2. **Probability memo** keyed by (primer, site geometry, temperature
-//!    bits): `binding_probability` depends on the primer only through its
-//!    melting temperature, so each (distance, 3'-distance, temperature)
-//!    triple is computed once per primer.
+//! 1. **Binding memo** keyed by (primer index, the site window the aligner
+//!    reads): for a forward primer `p` the window is
+//!    `seq[..min(len, p.len() + max_edit)]`; for a reverse primer `r` it is
+//!    the reverse complement of the last `min(len, r.len() + max_edit)`
+//!    bases. The memo keys that tail as it stands on the strand (the two
+//!    determine each other), so a hit builds no reverse complement at all;
+//!    a miss builds one of the window alone.
+//! 2. **Probability table** indexed by (primer, dist, 3'-dist, distinct
+//!    temperature): `binding_probability` is a pure function of those, so
+//!    each entry is computed once per reaction.
 //!
-//! Both are pure-function memos: cached values equal what the model would
-//! compute, so results are bit-identical regardless of cache state (pinned
-//! by `tests/fastpath_equiv.rs`). Caches are thread-local — no locks, no
-//! lock-rank interactions with the store — and self-limit their footprint
-//! by clearing when over capacity.
+//! The tables live for one reaction and start empty, so a reaction's cost
+//! does not depend on which thread ran it or what ran before. Both are
+//! pure-function memos: every value equals what the model computes, so
+//! results are bit-identical to the dense engine (pinned by
+//! `tests/fastpath_equiv.rs`).
 
 use crate::anneal::{AnnealModel, BindingSite};
 use crate::stats;
 use dna_seq::DnaSeq;
-use std::cell::RefCell;
 use std::collections::HashMap;
 
-/// Species entries kept per model cache before the species map is cleared.
-const MAX_SPECIES_ENTRIES: usize = 8192;
-/// Probability-memo entries kept before the memo is cleared.
-const MAX_PROB_ENTRIES: usize = 65536;
-
-/// Which strand region a primer is tested against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Orientation {
-    /// Primer vs the species' 5' prefix.
-    Forward,
-    /// Primer vs the reverse complement's 5' prefix (the species' 3' end).
-    Reverse,
+/// One primer's binding memo: site window → geometry.
+struct SiteMemo<'a> {
+    primer: &'a DnaSeq,
+    /// Site bases the aligner reads: `primer.len() + max_edit`.
+    window: usize,
+    /// Whether the primer binds the strand's 3' end, i.e. aligns against
+    /// the reverse complement of the strand's last `window` bases.
+    reverse: bool,
+    /// Keyed by the window's base codes as they stand on the strand.
+    sites: HashMap<Vec<u8>, Option<BindingSite>>,
 }
 
-/// Cached per-species data: reverse complement and resolved binding sites
-/// per primer.
-struct SpeciesEntry {
-    rc: DnaSeq,
-    /// Binding-site results keyed by interned primer id.
-    fwd_sites: HashMap<u32, Option<BindingSite>>,
-    rc_sites: HashMap<u32, Option<BindingSite>>,
+/// Annealing tables for one reaction. Primers are addressed by slot: the
+/// forward primers (flattened across channels) first, then each
+/// channel's reverse primer.
+pub(crate) struct AnnealTables<'a> {
+    model: &'a AnnealModel,
+    memos: Vec<SiteMemo<'a>>,
+    /// Memo key of the current window (reused buffer).
+    key: Vec<u8>,
+    /// The protocol's distinct temperatures, and each cycle's index into
+    /// them.
+    temps: Vec<f64>,
+    cycle_temp: Vec<usize>,
+    /// Lengths of the probability table's `dist` and 3'-dist axes.
+    dists: usize,
+    tails: usize,
+    /// `(slot, temperature, dist, 3'-dist)` → probability.
+    prob: Vec<Option<f64>>,
 }
 
-/// Caches for one [`AnnealModel`] (results depend on the model's
-/// calibration, so each distinct model gets its own bank).
-pub(crate) struct ModelCache {
-    model: AnnealModel,
-    primer_ids: HashMap<DnaSeq, u32>,
-    primers: Vec<DnaSeq>,
-    species: HashMap<DnaSeq, SpeciesEntry>,
-    /// (primer_id, dist, three_prime_dist, temp bits) → probability.
-    prob_memo: HashMap<(u32, u8, u8, u64), f64>,
-}
-
-impl ModelCache {
-    fn new(model: AnnealModel) -> ModelCache {
-        ModelCache {
+impl<'a> AnnealTables<'a> {
+    /// Empty tables for forward primers `fwd`, reverse primers `rev` and
+    /// the per-cycle temperatures `temps`.
+    pub(crate) fn new(
+        model: &'a AnnealModel,
+        fwd: impl IntoIterator<Item = &'a DnaSeq>,
+        rev: impl IntoIterator<Item = &'a DnaSeq>,
+        temps: &[f64],
+    ) -> AnnealTables<'a> {
+        let fwd = fwd.into_iter().map(|p| (p, false));
+        let memos: Vec<SiteMemo<'a>> = fwd
+            .chain(rev.into_iter().map(|p| (p, true)))
+            .map(|(primer, reverse)| SiteMemo {
+                primer,
+                window: primer.len().saturating_add(model.max_edit),
+                reverse,
+                sites: HashMap::new(),
+            })
+            .collect();
+        let mut distinct: Vec<f64> = Vec::new();
+        let mut cycle_temp = Vec::with_capacity(temps.len());
+        for t in temps {
+            let i = distinct.iter().position(|d| d.to_bits() == t.to_bits());
+            cycle_temp.push(i.unwrap_or_else(|| {
+                distinct.push(*t);
+                distinct.len() - 1
+            }));
+        }
+        // A best site is never farther than the primer is long (the
+        // window of the primer's own length costs at most that), and the
+        // 3'-distance is capped by the 3' window and the primer length.
+        let longest = memos.iter().map(|m| m.primer.len()).max().unwrap_or(0);
+        let dists = model.max_edit.min(longest) + 1;
+        let tails = model.three_prime_window.min(longest) + 1;
+        AnnealTables {
             model,
-            primer_ids: HashMap::new(),
-            primers: Vec::new(),
-            species: HashMap::new(),
-            prob_memo: HashMap::new(),
+            prob: vec![None; memos.len() * distinct.len() * dists * tails],
+            memos,
+            key: Vec::new(),
+            temps: distinct,
+            cycle_temp,
+            dists,
+            tails,
         }
     }
 
-    /// Interns a primer.
-    pub(crate) fn intern_primer(&mut self, seq: &DnaSeq) -> u32 {
-        if let Some(&id) = self.primer_ids.get(seq) {
-            return id;
-        }
-        let id = self.primers.len() as u32;
-        self.primer_ids.insert(seq.clone(), id);
-        self.primers.push(seq.clone());
-        id
-    }
-
-    /// Binding geometry of primer `id` against `seq` in the given
-    /// orientation — cached.
-    pub(crate) fn site(
-        &mut self,
-        seq: &DnaSeq,
-        id: u32,
-        orientation: Orientation,
-    ) -> Option<BindingSite> {
-        if self.species.len() >= MAX_SPECIES_ENTRIES && !self.species.contains_key(seq) {
-            self.species.clear();
-        }
-        let entry = self
-            .species
-            .entry(seq.clone())
-            .or_insert_with(|| SpeciesEntry {
-                rc: seq.reverse_complement(),
-                fwd_sites: HashMap::new(),
-                rc_sites: HashMap::new(),
-            });
-        let (sites, target): (_, &DnaSeq) = match orientation {
-            Orientation::Forward => (&mut entry.fwd_sites, seq),
-            Orientation::Reverse => (&mut entry.rc_sites, &entry.rc),
+    /// Binding geometry of the primer in `slot` on `seq`: at its 5' end
+    /// for a forward primer, at its 3' end for a reverse primer. Aligned
+    /// once per distinct window.
+    pub(crate) fn site(&mut self, slot: usize, seq: &DnaSeq) -> Option<BindingSite> {
+        let memo = &mut self.memos[slot];
+        let s = seq.as_slice();
+        let n = s.len().min(memo.window);
+        let window = if memo.reverse {
+            &s[s.len() - n..]
+        } else {
+            &s[..n]
         };
-        if let Some(&cached) = sites.get(&id) {
+        self.key.clear();
+        self.key.extend(window.iter().map(|b| b.code()));
+        if let Some(&site) = memo.sites.get(self.key.as_slice()) {
             stats::record_binding_cache_hits(1);
-            return cached;
+            return site;
         }
         stats::record_species_scanned(1);
         stats::record_anneal_calls(1);
-        let result = self.model.binding_site(&self.primers[id as usize], target);
-        sites.insert(id, result);
-        result
-    }
-
-    /// Memoized [`AnnealModel::binding_probability`].
-    pub(crate) fn probability(&mut self, id: u32, site: BindingSite, temp: f64) -> f64 {
-        let key = (
-            id,
-            site.dist as u8,
-            site.three_prime_dist as u8,
-            temp.to_bits(),
-        );
-        if let Some(&p) = self.prob_memo.get(&key) {
-            return p;
-        }
-        if self.prob_memo.len() >= MAX_PROB_ENTRIES {
-            self.prob_memo.clear();
-        }
-        stats::record_anneal_calls(1);
-        let p = self
-            .model
-            .binding_probability(&self.primers[id as usize], site, temp);
-        self.prob_memo.insert(key, p);
-        p
-    }
-}
-
-thread_local! {
-    static CACHE: RefCell<Vec<ModelCache>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Runs `f` with this thread's cache bank for `model` (created on first
-/// use).
-pub(crate) fn with_model_cache<R>(model: &AnnealModel, f: impl FnOnce(&mut ModelCache) -> R) -> R {
-    CACHE.with(|cell| {
-        let mut banks = cell.borrow_mut();
-        let idx = match banks.iter().position(|b| b.model == *model) {
-            Some(i) => i,
-            None => {
-                banks.push(ModelCache::new(*model));
-                banks.len() - 1
-            }
+        let aligned = if memo.reverse {
+            DnaSeq::from_bases(window.iter().rev().map(|b| b.complement()))
+        } else {
+            DnaSeq::from(window.to_vec())
         };
-        f(&mut banks[idx])
-    })
+        let site = self.model.binding_site(memo.primer, &aligned);
+        memo.sites.insert(self.key.clone(), site);
+        site
+    }
+
+    /// [`AnnealModel::binding_probability`] of the primer in `slot` at
+    /// cycle `cycle`'s temperature.
+    pub(crate) fn probability(&mut self, slot: usize, site: BindingSite, cycle: usize) -> f64 {
+        let t = self.cycle_temp[cycle];
+        let idx = ((slot * self.temps.len() + t) * self.dists + site.dist) * self.tails
+            + site.three_prime_dist;
+        *self.prob[idx].get_or_insert_with(|| {
+            stats::record_anneal_calls(1);
+            let primer = self.memos[slot].primer;
+            self.model.binding_probability(primer, site, self.temps[t])
+        })
+    }
 }
 
 #[cfg(test)]
@@ -171,42 +163,56 @@ mod tests {
     }
 
     #[test]
-    fn cache_results_match_model_and_count_hits() {
+    fn memo_results_match_model_and_count_hits_by_window() {
         let model = AnnealModel::calibrated();
-        let primer = balanced(20, 0);
-        let mut strand = primer.clone();
-        strand.extend_from_slice(balanced(50, 1).as_slice());
-        // Genuinely unrelated species (periodic shifts of `balanced` are
-        // within max_edit of each other, so use a homopolymer).
+        let (primer, rev) = (balanced(20, 0), balanced(20, 2));
+        let mut tables = AnnealTables::new(&model, [&primer], [&rev], &[60.0, 55.0, 55.0]);
+        // Two strands that differ only outside both primers' 24-base
+        // windows, and an unrelated homopolymer (periodic shifts of
+        // `balanced` are within max_edit of each other).
+        let strand = |middle: usize| {
+            let body = balanced(30, 1).concat(&balanced(8, middle));
+            primer
+                .concat(&body)
+                .concat(&balanced(20, 1))
+                .concat(&rev.reverse_complement())
+        };
         let other = DnaSeq::from_bases((0..70).map(|_| Base::from_code(3)));
-        with_model_cache(&model, |mc| {
-            let id = mc.intern_primer(&primer);
+        let short = DnaSeq::from(primer.as_slice()[..18].to_vec());
+        // (species, slot, expected alignments, expected hits): the sibling
+        // strand answers both lookups from the memo, a repeated species
+        // too, and a site shorter than the window is its own key.
+        let lookups = [
+            (strand(3), 0, 1, 0),
+            (strand(3), 1, 1, 0),
+            (strand(0), 0, 0, 1),
+            (strand(0), 1, 0, 1),
+            (other.clone(), 0, 1, 0),
+            (other, 0, 0, 1),
+            (short, 0, 1, 0),
+        ];
+        for (seq, slot, scanned, hits) in lookups {
             let before = stats::thread_totals();
-            let s1 = mc.site(&strand, id, Orientation::Forward);
-            assert_eq!(s1, model.binding_site(&primer, &strand));
-            let s2 = mc.site(&strand, id, Orientation::Forward);
-            assert_eq!(s2, s1);
+            let expected = match slot {
+                0 => model.binding_site(&primer, &seq),
+                _ => model.binding_site(&rev, &seq.reverse_complement()),
+            };
+            assert_eq!(tables.site(slot, &seq), expected);
             let d = stats::thread_totals().delta_since(&before);
-            assert_eq!(d.binding_cache_hits, 1);
-            assert_eq!(d.species_scanned, 1);
-            // A non-binding species costs one alignment, then is a cache
-            // hit; both lookups agree with the model's `None`.
-            assert_eq!(model.binding_site(&primer, &other), None);
-            let before = stats::thread_totals();
-            assert_eq!(mc.site(&other, id, Orientation::Forward), None);
-            let d = stats::thread_totals().delta_since(&before);
-            assert_eq!(d.species_scanned, 1);
-            assert_eq!(d.species_skipped, 0);
-            let before = stats::thread_totals();
-            assert_eq!(mc.site(&other, id, Orientation::Forward), None);
-            let d = stats::thread_totals().delta_since(&before);
-            assert_eq!(d.binding_cache_hits, 1);
-            assert_eq!(d.species_scanned, 0);
-            // Probability memo returns the exact model value.
-            let site = s1.unwrap();
-            let p1 = mc.probability(id, site, 55.0);
-            assert_eq!(p1, model.binding_probability(&primer, site, 55.0));
-            assert_eq!(mc.probability(id, site, 55.0), p1);
-        });
+            assert_eq!((d.species_scanned, d.binding_cache_hits), (scanned, hits));
+        }
+        // The probability table returns the exact model value, computed
+        // once per (slot, geometry, distinct temperature): cycles 1 and 2
+        // share 55 °C.
+        let site = tables.site(0, &strand(3)).unwrap();
+        let before = stats::thread_totals();
+        let p = tables.probability(0, site, 1);
+        assert_eq!(p, model.binding_probability(&primer, site, 55.0));
+        assert_eq!(tables.probability(0, site, 2), p);
+        let p60 = model.binding_probability(&primer, site, 60.0);
+        assert_eq!(tables.probability(0, site, 0), p60);
+        let rev_p = model.binding_probability(&rev, site, 55.0);
+        assert_eq!(tables.probability(1, site, 1), rev_p);
+        assert_eq!(stats::thread_totals().delta_since(&before).anneal_calls, 3);
     }
 }

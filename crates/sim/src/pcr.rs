@@ -17,12 +17,16 @@
 //!    condition rather than a special case.
 
 use crate::anneal::{AnnealModel, BindingSite};
-use crate::fastpath::{self, ModelCache, Orientation};
+use crate::fastpath::AnnealTables;
 use crate::molecule::StrandTag;
-use crate::pool::Pool;
+use crate::pool::{Pool, Species};
 use crate::stats;
 use dna_seq::DnaSeq;
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
+
+/// An empty product slot in [`MultiplexPcrReaction::run`].
+const NO_PRODUCT: u32 = u32::MAX;
 
 /// A primer participating in a reaction, with a finite molecule budget.
 #[derive(Debug, Clone, PartialEq)]
@@ -191,23 +195,13 @@ struct SpeciesBind {
 }
 
 impl SpeciesBind {
-    fn compute(mc: &mut ModelCache, seq: &DnaSeq, fwd_ids: &[u32], rev_ids: &[u32]) -> SpeciesBind {
+    fn compute(tables: &mut AnnealTables<'_>, seq: &DnaSeq, nf: usize, nr: usize) -> SpeciesBind {
         SpeciesBind {
-            fwd: fwd_ids
-                .iter()
-                .enumerate()
-                .filter_map(|(fi, &id)| {
-                    mc.site(seq, id, Orientation::Forward)
-                        .map(|s| (fi as u32, s))
-                })
+            fwd: (0..nf)
+                .filter_map(|fi| tables.site(fi, seq).map(|s| (fi as u32, s)))
                 .collect(),
-            rev: rev_ids
-                .iter()
-                .enumerate()
-                .filter_map(|(ri, &id)| {
-                    mc.site(seq, id, Orientation::Reverse)
-                        .map(|s| (ri as u32, s))
-                })
+            rev: (0..nr)
+                .filter_map(|ri| tables.site(nf + ri, seq).map(|s| (ri as u32, s)))
                 .collect(),
         }
     }
@@ -264,12 +258,16 @@ impl MultiplexPcrReaction {
     /// multiplexing introduces. Budgets are tracked per primer, so one
     /// channel plateauing never silently throttles another.
     ///
-    /// This is the fast path: binding geometry and probabilities are
-    /// served from thread-local caches (see `fastpath`) that survive
-    /// across cycles and rounds, contributions reference species by index
-    /// instead of cloned sequences, and per-cycle updates touch only the
-    /// amplified species — the output pool is the input plus a sparse
-    /// delta. Results are bit-identical to
+    /// This is the fast path. Binding geometry and probabilities come from
+    /// tables built for this reaction alone (see `fastpath`): each
+    /// primer's alignment runs once per distinct site window it reads, so
+    /// strands sharing a partition's 3' site, or mispriming products
+    /// sharing a forward window, cost one alignment between them.
+    /// Input species are borrowed, not cloned; contributions reference
+    /// species by index; per-cycle updates touch only the amplified
+    /// species; and the output pool is built once, in order, from the
+    /// working state. Nothing persists between reactions, so the cost does
+    /// not depend on the calling thread. Results are bit-identical to
     /// [`MultiplexPcrReaction::run_reference`] (pinned by
     /// `tests/fastpath_equiv.rs`).
     pub fn run(&self, input: &Pool) -> MultiplexOutcome {
@@ -280,64 +278,50 @@ impl MultiplexPcrReaction {
             .flat_map(|(ci, ch)| ch.forward_primers.iter().map(move |p| (ci, p)))
             .collect();
         let reverses: Vec<&PcrPrimer> = self.channels.iter().map(|ch| &ch.reverse_primer).collect();
-
-        let out = fastpath::with_model_cache(&self.protocol.anneal, |mc| {
-            self.run_cached(input, &forwards, &reverses, mc)
-        });
-        stats::flush_to_global();
-        out
-    }
-
-    /// The fast engine body, running against one thread-local model cache.
-    fn run_cached(
-        &self,
-        input: &Pool,
-        forwards: &[(usize, &PcrPrimer)],
-        reverses: &[&PcrPrimer],
-        mc: &mut ModelCache,
-    ) -> MultiplexOutcome {
-        let fwd_ids: Vec<u32> = forwards
-            .iter()
-            .map(|(_, p)| mc.intern_primer(&p.seq))
-            .collect();
-        let rev_ids: Vec<u32> = reverses.iter().map(|p| mc.intern_primer(&p.seq)).collect();
+        let (nf, nr) = (forwards.len(), reverses.len());
+        let mut tables = AnnealTables::new(
+            &self.protocol.anneal,
+            forwards.iter().map(|(_, p)| &p.seq),
+            reverses.iter().map(|p| &p.seq),
+            &self.protocol.temps,
+        );
 
         // Indexed working state: one slot per species (input species first,
-        // mispriming products appended as they are created). `order` keeps
-        // the indices sorted by sequence so every cycle scans species in
-        // exactly the reference engine's `BTreeMap` order — float
-        // accumulation order, and therefore every bit of the result, is
-        // preserved.
+        // borrowed; mispriming products appended, owned, as they are
+        // created). `order` keeps the indices sorted by sequence so every
+        // cycle scans species in exactly the reference engine's `BTreeMap`
+        // order — float accumulation order, and therefore every bit of the
+        // result, is preserved.
         let n0 = input.distinct();
-        let mut seqs: Vec<DnaSeq> = Vec::with_capacity(n0);
+        let mut seqs: Vec<Cow<'_, DnaSeq>> = Vec::with_capacity(n0);
         let mut ab: Vec<f64> = Vec::with_capacity(n0);
         let mut tags: Vec<Option<StrandTag>> = Vec::with_capacity(n0);
         for (seq, sp) in input.iter() {
-            seqs.push(seq.clone());
+            seqs.push(Cow::Borrowed(seq));
             ab.push(sp.abundance);
             tags.push(sp.tag);
         }
         let mut present: Vec<bool> = vec![true; n0];
-        let mut changed: Vec<bool> = vec![false; n0];
         let mut order: Vec<u32> = (0..n0 as u32).collect();
         let mut bind: Vec<Option<SpeciesBind>> = (0..n0).map(|_| None).collect();
-        // (template index, flattened forward index) → product species index.
-        let mut product_memo: HashMap<(u32, u32), u32> = HashMap::new();
+        // Product slots, `nf` per species: `product[si * nf + fi]` is the
+        // species index of forward primer `fi`'s mispriming product on
+        // template `si`, or `NO_PRODUCT` until first made.
+        let mut product: Vec<u32> = vec![NO_PRODUCT; n0 * nf];
 
         let mut fwd_left: Vec<f64> = forwards.iter().map(|(_, p)| p.budget).collect();
         let mut rev_left: Vec<f64> = reverses.iter().map(|p| p.budget).collect();
-        let mut fwd_used = vec![0.0; forwards.len()];
-        let mut rev_used = vec![0.0; reverses.len()];
+        let mut fwd_used = vec![0.0; nf];
+        let mut rev_used = vec![0.0; nr];
         let mut misprime_species = 0usize;
 
         // Reused per-cycle buffers.
         let mut contributions: Vec<(u32, u32, u32, f64, bool)> = Vec::new();
         let mut additions: Vec<(u32, f64, Option<StrandTag>)> = Vec::new();
-        let mut added_now: Vec<u32> = Vec::new();
-        let mut fwd_demand = vec![0.0; forwards.len()];
-        let mut rev_demand = vec![0.0; reverses.len()];
+        let mut fwd_demand = vec![0.0; nf];
+        let mut rev_demand = vec![0.0; nr];
 
-        for &temp in &self.protocol.temps {
+        for cycle in 0..self.protocol.temps.len() {
             // Pass 1: desired contributions, touching only species with at
             // least one binding forward and reverse primer.
             contributions.clear();
@@ -349,12 +333,12 @@ impl MultiplexPcrReaction {
                     continue;
                 }
                 let b = bind[i]
-                    .get_or_insert_with(|| SpeciesBind::compute(mc, &seqs[i], &fwd_ids, &rev_ids));
+                    .get_or_insert_with(|| SpeciesBind::compute(&mut tables, &seqs[i], nf, nr));
                 // The template's 3' site goes to the best-binding reverse
                 // primer this cycle (ties → lowest channel, deterministic).
                 let mut best_rev: Option<(u32, f64)> = None;
                 for &(ri, site) in &b.rev {
-                    let p = mc.probability(rev_ids[ri as usize], site, temp);
+                    let p = tables.probability(nf + ri as usize, site, cycle);
                     if p > 0.0 && best_rev.is_none_or(|(_, bp)| p > bp) {
                         best_rev = Some((ri, p));
                     }
@@ -363,7 +347,7 @@ impl MultiplexPcrReaction {
                     continue;
                 };
                 for &(fi, site) in &b.fwd {
-                    let p_fwd = mc.probability(fwd_ids[fi as usize], site, temp);
+                    let p_fwd = tables.probability(fi as usize, site, cycle);
                     if p_fwd <= 0.0 {
                         continue;
                     }
@@ -397,7 +381,6 @@ impl MultiplexPcrReaction {
                 .map(|(&d, &left)| if d > left { left / d } else { 1.0 })
                 .collect();
             additions.clear();
-            added_now.clear();
             for &(si, fi, ri, copies, mispriming) in &contributions {
                 let actual = copies * fwd_factor[fi as usize].min(rev_factor[ri as usize]);
                 if actual <= 0.0 {
@@ -410,45 +393,41 @@ impl MultiplexPcrReaction {
                 if !mispriming {
                     // Faithful copy of an existing species.
                     additions.push((si, actual, None));
-                    added_now.push(si);
                     continue;
                 }
-                let pi = match product_memo.get(&(si, fi)) {
-                    Some(&pi) => pi,
-                    None => {
+                let slot = si as usize * nf + fi as usize;
+                let pi = match product[slot] {
+                    NO_PRODUCT => {
                         let primer = &forwards[fi as usize].1.seq;
-                        let template = &seqs[si as usize];
+                        let template: &DnaSeq = &seqs[si as usize];
                         let mut ns = primer.clone();
                         if primer.len() < template.len() {
                             ns.extend_from_slice(&template.as_slice()[primer.len()..]);
                         }
-                        let pi = match order.binary_search_by(|&j| seqs[j as usize].cmp(&ns)) {
+                        let pi = match order.binary_search_by(|&j| (*seqs[j as usize]).cmp(&ns)) {
                             Ok(pos) => order[pos],
                             Err(pos) => {
                                 let idx = seqs.len() as u32;
-                                seqs.push(ns);
+                                seqs.push(Cow::Owned(ns));
                                 ab.push(0.0);
                                 tags.push(None);
                                 present.push(false);
-                                changed.push(false);
                                 bind.push(None);
+                                product.extend(std::iter::repeat_n(NO_PRODUCT, nf));
                                 order.insert(pos, idx);
                                 idx
                             }
                         };
-                        product_memo.insert((si, fi), pi);
+                        product[slot] = pi;
                         pi
                     }
+                    pi => pi,
                 };
                 let tag = tags[si as usize].map(|mut t| {
                     t.prefix_overwritten = true;
                     t
                 });
-                if !present[pi as usize] && !added_now.contains(&pi) {
-                    misprime_species += 1;
-                }
                 additions.push((pi, actual, tag));
-                added_now.push(pi);
             }
             for &(idx, actual, tag) in &additions {
                 let i = idx as usize;
@@ -456,25 +435,30 @@ impl MultiplexPcrReaction {
                     // Merge keeps the existing tag, like `Pool::add`.
                     ab[i] += actual;
                 } else {
+                    // Only a mispriming product can be absent: this is its
+                    // first addition, so it is a new species.
                     present[i] = true;
                     ab[i] = actual;
                     tags[i] = tag;
+                    misprime_species += 1;
                 }
-                changed[i] = true;
             }
             for left in fwd_left.iter_mut().chain(rev_left.iter_mut()) {
                 *left = left.max(0.0);
             }
         }
 
-        // Copy-on-write output: the input pool plus the sparse delta of
-        // amplified species and new products.
-        let mut pool = input.clone();
-        for i in 0..seqs.len() {
-            if changed[i] && present[i] {
-                pool.set_species(seqs[i].clone(), ab[i], tags[i]);
-            }
-        }
+        // The output pool, built in one pass over `order`: input species
+        // keep their exact abundance unless they amplified, and products
+        // move out of the working state.
+        let pool = Pool::from_sorted(order.iter().filter(|&&i| present[i as usize]).map(|&i| {
+            let i = i as usize;
+            let species = Species {
+                abundance: ab[i],
+                tag: tags[i],
+            };
+            (std::mem::take(&mut seqs[i]).into_owned(), species)
+        }));
 
         // Un-flatten per-channel consumption.
         let mut fwd_consumed: Vec<Vec<f64>> = self
@@ -485,6 +469,7 @@ impl MultiplexPcrReaction {
         for ((ci, _), used) in forwards.iter().zip(&fwd_used) {
             fwd_consumed[*ci].push(*used);
         }
+        stats::flush_to_global();
         MultiplexOutcome {
             pool,
             fwd_consumed,

@@ -90,14 +90,14 @@ impl Pool {
         self.epoch
     }
 
-    /// Overwrites (or inserts) a species with an exact abundance and tag —
-    /// the delta-application primitive for the PCR fast path, which
-    /// computes final abundances out-of-pool and writes each changed
-    /// species back once.
-    pub(crate) fn set_species(&mut self, seq: DnaSeq, abundance: f64, tag: Option<StrandTag>) {
-        debug_assert!(abundance >= 0.0, "abundance must be non-negative");
-        self.species.insert(seq, Species { abundance, tag });
-        self.epoch = fresh_epoch();
+    /// A pool of `species` given in ascending sequence order, built in
+    /// one pass — the PCR fast path's output, whose final abundances are
+    /// computed out-of-pool.
+    pub(crate) fn from_sorted(species: impl IntoIterator<Item = (DnaSeq, Species)>) -> Pool {
+        Pool {
+            species: species.into_iter().collect(),
+            epoch: fresh_epoch(),
+        }
     }
 
     /// Number of distinct sequences.

@@ -1,9 +1,9 @@
 //! Simulator work counters (`WetlabStats`).
 //!
-//! The fast path (binding caches, sequencer weight-table reuse) changes
-//! *how much work* the simulator does without changing any observable
-//! result. These counters make that work visible: tests assert the caches
-//! actually hit (no silent fallback to a full scan), and the serving layer
+//! The fast path (per-reaction annealing tables, sequencer weight-table
+//! reuse) changes *how much work* the simulator does without changing any
+//! observable result. These counters make that work visible: tests pin
+//! exact alignment and memo-hit counts, and the serving layer
 //! exports them per process so operators can see simulator effort behind
 //! each request mix.
 //!
@@ -33,13 +33,14 @@ pub const WETLAB_COUNTERS: usize = 6;
 /// region of work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WetlabStats {
-    /// (species, primer, orientation) pairs whose binding geometry was
-    /// computed with a full `binding_site` alignment scan.
+    /// `binding_site` alignments run: one per (primer, distinct site
+    /// window) per PCR reaction. The name predates the window memo.
     pub species_scanned: u64,
     /// Always 0 since the k-mer annealing prefilter was removed; kept
     /// because `/v1/stats` and perfbench read the name.
     pub species_skipped: u64,
-    /// Pairs answered from the cross-cycle/cross-round binding cache.
+    /// Binding lookups answered from a reaction's window memo (a window
+    /// already aligned earlier in the same reaction).
     pub binding_cache_hits: u64,
     /// Fresh annealing-model evaluations (`binding_site` alignments plus
     /// memo-missing `binding_probability` computations).

@@ -2,7 +2,9 @@
 
 use dna_seq::rng::DetRng;
 use dna_seq::{Base, DnaSeq};
-use dna_sim::{IdsChannel, PcrPrimer, PcrProtocol, PcrReaction, Pool, Sequencer, StrandTag};
+use dna_sim::{
+    AnnealModel, IdsChannel, PcrPrimer, PcrProtocol, PcrReaction, Pool, Sequencer, StrandTag,
+};
 use proptest::prelude::*;
 
 fn strand(fwd_phase: usize, payload_phase: usize) -> DnaSeq {
@@ -114,5 +116,45 @@ proptest! {
         }
         prop_assert_eq!(*p.temps.last().unwrap(), 55.0);
         prop_assert!(p.temps.iter().all(|&t| t >= 55.0 && t <= start));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `binding_site` reads only the first `primer.len() + max_edit` bases
+    /// of a site: cutting the site to that window never changes the
+    /// result. The PCR fast path keys its binding memo on this window.
+    /// Sites are the primer with substitutions or insertions (so the best
+    /// alignment can span the whole window) and a random tail, cut to any
+    /// length, including shorter than the window.
+    #[test]
+    fn binding_site_reads_only_its_window(
+        seed in any::<u64>(),
+        primer_len in 1usize..32,
+        max_edit in 0usize..7,
+        substitutions in 0usize..4,
+        insertions in 0usize..7,
+        site_len in 0usize..48,
+    ) {
+        let mut rng = DetRng::seed_from_u64(seed);
+        let mut random_base = || Base::from_code(rng.gen_range(4) as u8);
+        let primer = DnaSeq::from_bases((0..primer_len).map(|_| random_base()));
+        let mut bases: Vec<Base> = primer.as_slice().to_vec();
+        for k in 0..substitutions + insertions {
+            let at = (k * 7 + seed as usize) % bases.len();
+            if k < substitutions {
+                bases[at] = Base::from_code((bases[at].code() + 1) % 4);
+            } else {
+                bases.insert(at, random_base());
+            }
+        }
+        bases.extend((0..48).map(|_| random_base()));
+        bases.truncate(site_len);
+        let site = DnaSeq::from(bases);
+        let model = AnnealModel { max_edit, ..AnnealModel::calibrated() };
+        let window = site_len.min(primer_len + max_edit);
+        let cut = DnaSeq::from(site.as_slice()[..window].to_vec());
+        prop_assert_eq!(model.binding_site(&primer, &site), model.binding_site(&primer, &cut));
     }
 }
