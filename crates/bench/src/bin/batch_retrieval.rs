@@ -48,7 +48,7 @@ fn run_comparison(partitions: usize, blocks_per: usize) {
     // Batched: identical fresh store, one multiplexed call.
     let (store, _) = build_store(11, partitions, blocks_per);
     let t0 = Instant::now();
-    let batch = store.read_blocks_batch(&requests).expect("batched read");
+    let batch = store.read_blocks_batch(&requests);
     let batch_wall = t0.elapsed();
     for (i, outcome) in batch.outcomes.iter().enumerate() {
         let got = outcome.as_ref().expect("batched block decodes");

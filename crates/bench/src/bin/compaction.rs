@@ -84,7 +84,7 @@ fn main() {
                 || compactor.should_compact_log(&store)
             {
                 // Hot-block read cost immediately before the fold...
-                let pre = store.read_blocks_batch(&[(pid, 0)]).expect("pre read");
+                let pre = store.read_blocks_batch(&[(pid, 0)]);
                 pre_reads = pre.stats.reads_sequenced;
                 let report = compactor.run(&store).expect("maintenance pass");
                 assert!(!report.is_empty(), "thresholds fired, pass must fold");
@@ -92,7 +92,7 @@ fn main() {
                 reclaimed += report.units_reclaimed;
                 synthesis += report.synthesis_cost;
                 // ...and right after.
-                let post = store.read_blocks_batch(&[(pid, 0)]).expect("post read");
+                let post = store.read_blocks_batch(&[(pid, 0)]);
                 post_reads = post.stats.reads_sequenced;
             }
             store

@@ -11,9 +11,8 @@
 //!
 //! The cache is *update-aware* by construction: it has no link to the
 //! wetlab, so the serving layer ([`crate::service::StoreServer`]) is
-//! responsible for invalidating or refreshing the affected key whenever
-//! [`crate::BlockStore::update_block`] commits — see
-//! [`crate::service::CachePolicy`]. All operations are deterministic: the
+//! responsible for invalidating the affected key whenever an update or a
+//! compaction commits. All operations are deterministic: the
 //! same call sequence always leaves the same contents and eviction order,
 //! which the stress and property suites rely on.
 

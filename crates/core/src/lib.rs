@@ -94,7 +94,7 @@ pub use partition::{
     ReclaimedUpdates, VersionSlot,
 };
 pub use persist::{open_or_recover_store, PersistPaths};
-pub use service::{BatchWindow, CachePolicy, ServedRead, ServerConfig, ServerStats, StoreServer};
+pub use service::{BatchWindow, ServedRead, ServerConfig, ServerStats, StoreServer};
 pub use store::{
     BatchReadOutcome, BlockReadOutcome, BlockStore, CommittedUpdate, PartitionId, PartitionShard,
     ReadProtocolStats,

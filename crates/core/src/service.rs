@@ -70,7 +70,6 @@
 //! another request's round-trip. The stress suite (`tests/stress.rs`)
 //! pins all three under seeded multi-threaded read/update mixes.
 
-use crate::batch::BatchPlanner;
 use crate::block::{checksum64, Block};
 use crate::cache::{BlockCache, CacheKey};
 use crate::compaction::{CompactionPolicy, CompactionReport, Compactor};
@@ -86,12 +85,10 @@ use std::time::{Duration, Instant};
 /// How long the scheduler leader holds a round open for co-arriving reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchWindow {
-    /// Execute immediately with whatever is queued — lowest latency, no
-    /// cross-request coalescing beyond requests already waiting.
-    Immediate,
     /// Wait up to this long (or until `max_batch` reads are pending) before
     /// executing — the bounded batching window that trades a little
-    /// latency for fewer wetlab rounds.
+    /// latency for fewer wetlab rounds. `Duration::ZERO` executes at once
+    /// with whatever is queued.
     Window(Duration),
     /// Wait until [`StoreServer::release_batch`] is called. Deterministic
     /// coalescing for tests: queue exactly the requests you want in one
@@ -126,34 +123,18 @@ fn window_poll(remaining: Duration, pending: usize, max_batch: usize) -> WindowP
     WindowPoll::Wait(remaining)
 }
 
-/// What [`StoreServer::update_block`] does to the cached copy of the
-/// updated block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CachePolicy {
-    /// Drop exactly the updated key; the next read re-pays one wetlab
-    /// round and re-populates the cache.
-    Invalidate,
-    /// Replace the cached copy with the post-update image (known digitally
-    /// at update time), so even the first re-read after an update is a
-    /// zero-wetlab hit.
-    Refresh,
-}
-
 /// Configuration for a [`StoreServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Decoded-block cache capacity in blocks (`0` disables caching).
+    /// Decoded-block cache capacity in blocks (`0` disables caching). A
+    /// committed update drops the updated key; the next read re-pays one
+    /// wetlab round and re-populates it.
     pub cache_capacity: usize,
-    /// Cache coherence policy on updates.
-    pub cache_policy: CachePolicy,
     /// The read-coalescing batching window.
     pub window: BatchWindow,
     /// Execute early once this many reads are pending (`0` = no early
     /// trigger). Only meaningful for [`BatchWindow::Window`].
     pub max_batch: usize,
-    /// Round planner used for coalesced batches (primer-compatibility
-    /// grouping and per-tube pair caps).
-    pub planner: BatchPlanner,
     /// Compaction policy for the maintenance path (`None` disables
     /// maintenance). With a policy set, the server compacts a partition
     /// *before* committing an update that would leave it under
@@ -171,24 +152,14 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// Serving defaults: a 1024-block cache with invalidate-on-update, a
-    /// 2 ms batching window triggered early at 64 pending reads, and the
-    /// paper-grade batch planner.
+    /// 2 ms batching window triggered early at 64 pending reads, and no
+    /// maintenance. Coalesced batches use the paper-grade batch planner.
     pub fn paper_default() -> ServerConfig {
         ServerConfig {
             cache_capacity: 1024,
-            cache_policy: CachePolicy::Invalidate,
             window: BatchWindow::Window(Duration::from_millis(2)),
             max_batch: 64,
-            planner: BatchPlanner::paper_default(),
             compaction: None,
-        }
-    }
-
-    /// The serving defaults with a compaction policy enabled.
-    pub fn with_compaction(policy: CompactionPolicy) -> ServerConfig {
-        ServerConfig {
-            compaction: Some(policy),
-            ..ServerConfig::paper_default()
         }
     }
 }
@@ -219,10 +190,11 @@ pub struct ServerStats {
     /// Multiplex PCR + sequencing rounds executed — the paper's unit of
     /// wetlab cost.
     pub rounds_executed: u64,
-    /// Reads that shared a wetlab round with a read from a *different*
-    /// client call — the cross-request amortization the scheduler exists
-    /// for. A multi-block `read_range` batching with itself does not
-    /// count.
+    /// Reads drained into a coalesced batch from a client call other than
+    /// the batch leader's — the cross-request amortization the scheduler
+    /// exists for. Every such read counts, whatever its outcome (a bad
+    /// address fails only its own request inside the batch). A
+    /// multi-block `read_range` batching with itself does not count.
     pub reads_coalesced: u64,
     /// Updates committed.
     pub updates_applied: u64,
@@ -393,9 +365,9 @@ struct FrontEnd {
 
 impl FrontEnd {
     /// Publishes a committed update (or write) for `key`: refreshes the
-    /// oracle and applies the cache policy — unless a newer commit for the
+    /// oracle and drops the cached copy — unless a newer commit for the
     /// same key already published.
-    fn publish_commit(&mut self, key: CacheKey, epoch: u64, image: &Block, policy: CachePolicy) {
+    fn publish_commit(&mut self, key: CacheKey, epoch: u64, image: &Block) {
         if self.shadow.get(&key).is_some_and(|e| e.epoch > epoch) {
             return; // a newer commit already published
         }
@@ -406,14 +378,7 @@ impl FrontEnd {
                 checksum: checksum64(&image.data),
             },
         );
-        match policy {
-            CachePolicy::Invalidate => {
-                self.cache.invalidate(&key);
-            }
-            CachePolicy::Refresh => {
-                self.cache.insert(key, image.clone());
-            }
-        }
+        self.cache.invalidate(&key);
     }
 
     /// Installs a wetlab-decoded block into the cache, unless an update
@@ -428,22 +393,6 @@ impl FrontEnd {
             return;
         }
         self.cache.insert(key, image.clone());
-    }
-
-    /// Applies the cache policy to a compaction-rebased key. Compaction
-    /// never changes logical bytes — the oracle checksum stays valid — but
-    /// refresh/invalidate keeps cache behavior uniform with updates.
-    fn publish_rebase(&mut self, key: CacheKey, epoch: u64, image: &Block, policy: CachePolicy) {
-        match policy {
-            CachePolicy::Invalidate => {
-                self.cache.invalidate(&key);
-            }
-            CachePolicy::Refresh => {
-                if self.shadow.get(&key).is_none_or(|e| e.epoch <= epoch) {
-                    self.cache.insert(key, image.clone());
-                }
-            }
-        }
     }
 }
 
@@ -645,8 +594,8 @@ impl StoreServer {
     }
 
     /// Opens the [`BatchWindow::Gate`]: the waiting leader (if any) drains
-    /// everything pending and executes it as one batch. No-op latch in the
-    /// other window modes.
+    /// everything pending and executes it as one batch. No-op latch under a
+    /// [`BatchWindow::Window`].
     pub fn release_batch(&self) {
         let mut sched = self.lock_sched();
         sched.gate_open = true;
@@ -686,9 +635,7 @@ impl StoreServer {
             .collect();
         let mut front = self.lock_front();
         for (block, (image, epoch)) in seeded {
-            // Seed the oracle; the cache policy is irrelevant for a fresh
-            // write (nothing cached yet), so publish with Invalidate.
-            front.publish_commit((pid, block), epoch, &image, CachePolicy::Invalidate);
+            front.publish_commit((pid, block), epoch, &image);
         }
         Ok(written)
     }
@@ -736,14 +683,8 @@ impl StoreServer {
             }
         }
         let receipt = self.store.update_block_committed(pid, block, new_content)?;
-        let mut front = self.lock_front();
-        front.publish_commit(
-            (pid, block),
-            receipt.epoch,
-            &receipt.image,
-            self.config.cache_policy,
-        );
-        drop(front);
+        self.lock_front()
+            .publish_commit((pid, block), receipt.epoch, &receipt.image);
         AtomicStats::bump(&self.stats.updates_applied, 1);
         Ok(())
     }
@@ -895,13 +836,10 @@ impl StoreServer {
     }
 
     /// Publishes a compaction's effects to the front end: bumps the
-    /// compaction counters and applies the configured [`CachePolicy`] to
-    /// every rebased block. Compaction never changes logical bytes —
-    /// cached entries stay *correct* and the staleness oracle needs no
-    /// adjustment — but refresh/invalidate keeps cache behavior uniform
-    /// with updates. Rebased images are re-read with their shard epoch so
-    /// a refresh racing a concurrent update can never resurrect a
-    /// pre-update image.
+    /// compaction counters and drops every rebased block from the cache.
+    /// Compaction never changes logical bytes — cached entries stay
+    /// *correct* and the staleness oracle needs no adjustment — but
+    /// invalidating keeps cache behavior uniform with updates.
     fn apply_compaction(&self, report: &CompactionReport) {
         if report.is_empty() {
             return;
@@ -912,22 +850,9 @@ impl StoreServer {
             &self.stats.rewrites_synthesized,
             report.rewrites_synthesized,
         );
-        // Re-read every rebased image *before* taking the front lock (the
-        // global order is store locks → front; `logical_versioned` takes
-        // directory + shard locks). Each image carries its shard epoch, so
-        // publication stays ordered against concurrent updates.
-        let rebased: Vec<((PartitionId, u64), (Block, u64))> = report
-            .rebased
-            .iter()
-            .filter_map(|&(pid, block)| {
-                self.store
-                    .logical_versioned(pid, block)
-                    .map(|versioned| ((pid, block), versioned))
-            })
-            .collect();
         let mut front = self.lock_front();
-        for (key, (image, epoch)) in rebased {
-            front.publish_rebase(key, epoch, &image, self.config.cache_policy);
+        for key in &report.rebased {
+            front.cache.invalidate(key);
         }
     }
 
@@ -940,7 +865,6 @@ impl StoreServer {
     fn lead_batch(&self) {
         let mut sched = self.lock_sched();
         match self.config.window {
-            BatchWindow::Immediate => {}
             BatchWindow::Window(window) => {
                 // lint: allow(determinism): batching-window deadline only — bounds the coalescing wait, never reaches commit/epoch state
                 let deadline = Instant::now() + window;
@@ -995,70 +919,28 @@ impl StoreServer {
         // `read_range` batching with itself does not count).
         let leader_call = batch[0].call;
         // lossless: usize → u64 widens on every supported target.
-        let mut piggybacked = batch.iter().filter(|r| r.call != leader_call).count() as u64;
-        let mut rounds = 0u64;
-        let published: Vec<(Ticket, Result<BlockReadOutcome, StoreError>)> = match self
-            .store
-            .read_blocks_batch_planned(&requests, &self.config.planner)
-        {
-            Ok(executed) => {
-                // lossless: usize → u64 widens on every supported target.
-                rounds += executed.stats.rounds as u64;
-                let mut front = self.lock_front();
-                batch
-                    .iter()
-                    .zip(executed.outcomes)
-                    .map(|(read, outcome)| {
-                        if let Ok(ok) = &outcome {
-                            // Epoch-guarded: the fill is dropped if an
-                            // update newer than the read's shard snapshot
-                            // has already published for this key.
-                            let epoch = executed
-                                .shard_epochs
-                                .get(&read.pid)
-                                .copied()
-                                .unwrap_or_default();
-                            front.fill_cache((read.pid, read.block), epoch, &ok.block);
-                        }
-                        (read.ticket, outcome)
-                    })
-                    .collect()
-            }
-            // A whole-batch error (unknown partition) must not poison
-            // innocent coalesced requests: fall back to per-request
-            // execution so each ticket gets its own verdict. Rounds
-            // are counted whether or not the block decodes — and since
-            // every request now pays its own round, nothing actually
-            // coalesced.
-            Err(_) => {
-                piggybacked = 0;
-                batch
-                    .iter()
-                    .map(|read| {
-                        let key = (read.pid, read.block);
-                        let outcome = match self
-                            .store
-                            .read_blocks_batch_planned(&[key], &self.config.planner)
-                        {
-                            Ok(mut one) => {
-                                // lossless: usize → u64 widens on every supported target.
-                                rounds += one.stats.rounds as u64;
-                                let epoch =
-                                    one.shard_epochs.get(&read.pid).copied().unwrap_or_default();
-                                one.outcomes.pop().expect("one outcome").inspect(|ok| {
-                                    self.lock_front().fill_cache(key, epoch, &ok.block);
-                                })
-                            }
-                            Err(e) => Err(e),
-                        };
-                        (read.ticket, outcome)
-                    })
-                    .collect()
-            }
+        let piggybacked = batch.iter().filter(|r| r.call != leader_call).count() as u64;
+        let executed = self.store.read_blocks_batch(&requests);
+        let published: Vec<(Ticket, Result<BlockReadOutcome, StoreError>)> = {
+            let mut front = self.lock_front();
+            batch
+                .iter()
+                .zip(executed.outcomes)
+                .map(|(read, outcome)| {
+                    if let Ok(ok) = &outcome {
+                        // Epoch-guarded: the fill is dropped if an update
+                        // newer than the read's shard snapshot has already
+                        // published for this key.
+                        let epoch = executed.shard_epochs[&read.pid];
+                        front.fill_cache((read.pid, read.block), epoch, &ok.block);
+                    }
+                    (read.ticket, outcome)
+                })
+                .collect()
         };
-        // One logical coalesced batch regardless of execution path.
         AtomicStats::bump(&self.stats.batches_executed, 1);
-        AtomicStats::bump(&self.stats.rounds_executed, rounds);
+        // lossless: usize → u64 widens on every supported target.
+        AtomicStats::bump(&self.stats.rounds_executed, executed.stats.rounds as u64);
         AtomicStats::bump(&self.stats.reads_coalesced, piggybacked);
         // Maintenance, second half: between coalesced batches, fold
         // whatever crossed the policy's thresholds. Compaction re-encodes
@@ -1120,7 +1002,7 @@ mod tests {
     fn immediate_config(cache_capacity: usize) -> ServerConfig {
         ServerConfig {
             cache_capacity,
-            window: BatchWindow::Immediate,
+            window: BatchWindow::Window(Duration::ZERO),
             ..ServerConfig::paper_default()
         }
     }
@@ -1185,35 +1067,13 @@ mod tests {
         data[10..14].copy_from_slice(b"EDIT");
         server.update_block(pid, 0, &data[..BLOCK_SIZE]).unwrap();
         let after = server.read_block(pid, 0).unwrap();
-        assert!(!after.from_cache, "invalidate policy forces a re-read");
+        assert!(!after.from_cache, "the update dropped the cached copy");
         assert_eq!(after.block.data, &data[..BLOCK_SIZE]);
         assert_eq!(after.patches_applied, 1);
         // And the re-read repopulated the cache with the new image.
         let warm = server.read_block(pid, 0).unwrap();
         assert!(warm.from_cache);
         assert_eq!(warm.block.data, &data[..BLOCK_SIZE]);
-        assert_eq!(server.stats().stale_serves, 0);
-    }
-
-    #[test]
-    fn refresh_policy_serves_post_update_image_from_cache() {
-        let config = ServerConfig {
-            cache_policy: CachePolicy::Refresh,
-            ..immediate_config(8)
-        };
-        let (server, pid, mut data) = server_with_blocks(302, 1, config);
-        server.read_block(pid, 0).unwrap();
-        let rounds_before = server.stats().rounds_executed;
-        data[0..4].copy_from_slice(b"NEW!");
-        server.update_block(pid, 0, &data).unwrap();
-        let read = server.read_block(pid, 0).unwrap();
-        assert!(read.from_cache, "refresh keeps the cache warm");
-        assert_eq!(read.block.data, data);
-        assert_eq!(
-            server.stats().rounds_executed,
-            rounds_before,
-            "refreshed hit costs no wetlab round"
-        );
         assert_eq!(server.stats().stale_serves, 0);
     }
 
@@ -1300,10 +1160,11 @@ mod tests {
         });
         let stats = server.stats();
         assert_eq!(stats.stale_serves, 0);
-        // The fallback executed each request in its own round, so no read
-        // actually shared another call's round-trip.
-        assert_eq!(stats.reads_coalesced, 0);
-        assert_eq!(stats.batches_executed, 1, "one logical coalesced batch");
+        // Whichever read queued second came from a call other than the
+        // leader's, so it counts as coalesced whatever its outcome.
+        assert_eq!(stats.reads_coalesced, 1);
+        assert_eq!(stats.batches_executed, 1, "one coalesced batch");
+        assert_eq!(stats.rounds_executed, 1, "the bad read takes no round");
     }
 
     #[test]
@@ -1378,8 +1239,8 @@ mod tests {
         }
         assert_eq!(server.stats().compactions, 0, "no batch has run yet");
         // This miss executes a batch; the maintenance pass after it folds
-        // the chain — and (Invalidate policy) drops the rebased key that
-        // the batch had just cached.
+        // the chain — and drops the rebased key that the batch had just
+        // cached.
         let read = server.read_block(pid, 0).unwrap();
         assert!(!read.from_cache);
         assert_eq!(read.block.data, &data[..BLOCK_SIZE]);

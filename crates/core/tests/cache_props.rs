@@ -4,10 +4,11 @@
 
 use dna_block_store::cache::{BlockCache, CacheKey};
 use dna_block_store::{
-    BatchWindow, Block, BlockStore, CachePolicy, PartitionConfig, PartitionId, ServerConfig,
-    StoreServer, BLOCK_SIZE,
+    BatchWindow, Block, BlockStore, PartitionConfig, PartitionId, ServerConfig, StoreServer,
+    BLOCK_SIZE,
 };
 use proptest::prelude::*;
+use std::time::Duration;
 
 /// A straightforward reference LRU: `Vec` ordered least- to most-recently
 /// used.
@@ -153,8 +154,7 @@ proptest! {
         let build = |cache_capacity: usize| {
             let config = ServerConfig {
                 cache_capacity,
-                cache_policy: CachePolicy::Invalidate,
-                window: BatchWindow::Immediate,
+                window: BatchWindow::Window(Duration::ZERO),
                 ..ServerConfig::paper_default()
             };
             let server = StoreServer::new(BlockStore::new(seed), config);

@@ -94,7 +94,7 @@ fn run_batch(
     requests: &[(PartitionId, u64)],
     planner: &BatchPlanner,
 ) -> (Vec<Pinned>, BatchStats) {
-    let batch = store.read_blocks_batch_planned(requests, planner).unwrap();
+    let batch = store.read_blocks_batch_planned(requests, planner);
     let pinned = requests
         .iter()
         .zip(&batch.outcomes)

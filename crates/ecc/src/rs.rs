@@ -66,11 +66,6 @@ impl ReedSolomon {
         &self.gf
     }
 
-    /// Maximum number of data symbols per codeword.
-    pub fn max_data_len(&self) -> usize {
-        self.gf.max_codeword_len() - self.nsym
-    }
-
     /// Encodes `data`, returning `data.len() + nsym` symbols.
     ///
     /// # Panics

@@ -170,15 +170,6 @@ impl DetRng {
         }
     }
 
-    /// Uniformly chooses one element, or `None` if the slice is empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            Some(&slice[self.gen_range(slice.len())])
-        }
-    }
-
     /// Standard normal via Box–Muller (one value per call; the sibling value
     /// is discarded to keep state evolution simple and reproducible).
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {

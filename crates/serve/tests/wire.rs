@@ -202,6 +202,17 @@ fn malformed_and_unknown_requests_answer_typed_errors() {
     // followed by a second request made of chunk bytes, and of two
     // disagreeing lengths neither wins.
     let pid = client.create_partition(7).expect("create partition");
+    // A never-written block of a fresh partition is a 404, not a dead
+    // connection thread: the writes below reuse this connection.
+    match client.read_block(pid, 0) {
+        Err(CallError::Server {
+            status: 404,
+            message,
+        }) => {
+            assert!(message.contains("never been written"), "{message}");
+        }
+        other => panic!("expected 404, got {other:?}"),
+    }
     let data = String::from_utf8(dna_block_store::workload::deterministic_text(BLOCK_SIZE, 5))
         .expect("deterministic text is ASCII");
     let chunked = |head: &str| {

@@ -154,18 +154,6 @@ impl AnnealModel {
         self.max_efficiency * melt * penalty * blocking
     }
 
-    /// Convenience: probability of a perfectly matched duplex (distance 0).
-    pub fn perfect_probability(&self, primer: &DnaSeq, temp: f64) -> f64 {
-        self.binding_probability(
-            primer,
-            BindingSite {
-                dist: 0,
-                three_prime_dist: 0,
-            },
-            temp,
-        )
-    }
-
     /// Convenience: geometry + probability against a template's 5' start.
     pub fn site_probability(&self, primer: &DnaSeq, template: &DnaSeq, temp: f64) -> f64 {
         match self.binding_site(primer, template) {

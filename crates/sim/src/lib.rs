@@ -6,10 +6,9 @@
 //! substitution table):
 //!
 //! - [`Pool`] — a test tube: species (distinct sequences) with fractional
-//!   copy counts,
-//! - [`TubeRack`] — per-partition tubes for a sharded store: writes mix
-//!   into one tube in place, retrievals pipette only the addressed tubes
-//!   into a reaction,
+//!   copy counts (a sharded store keeps one per partition, mixes writes
+//!   into it in place, and pipettes only the addressed tubes into a
+//!   reaction),
 //! - [`SynthesisVendor`] — commercial synthesis with per-molecule copy-count
 //!   skew and per-vendor concentration scales (the IDT preset is 50000× the
 //!   Twist preset, §6.4.1),
@@ -47,7 +46,6 @@ mod molecule;
 mod nanodrop;
 mod pcr;
 mod pool;
-mod rack;
 mod sequencing;
 mod synthesis;
 
@@ -62,7 +60,6 @@ pub use pcr::{
     PrimerChannel,
 };
 pub use pool::{Pool, Species};
-pub use rack::{TubeId, TubeRack};
 pub use sequencing::{IdsChannel, NanoporeModel, NgsRunModel, Read, Sequencer, SequencerScratch};
 pub use stats::WetlabStats;
 pub use synthesis::SynthesisVendor;

@@ -122,13 +122,13 @@ fn errors_are_reported_not_panicked() {
     let pid = store
         .create_partition(PartitionConfig::paper_default(7))
         .unwrap();
-    // Reading an unwritten block fails cleanly with a decode error (there
-    // is nothing in the tube to amplify... and nothing to decode).
+    // Reading an unwritten block fails cleanly with a typed error before
+    // any wetlab work (there is nothing in the tube to amplify).
     store
         .write_file(pid, &workload::deterministic_text(BLOCK_SIZE, 70))
         .unwrap();
     let err = store.read_block(pid, 9).unwrap_err();
-    assert!(matches!(err, StoreError::DecodeFailed { .. }));
+    assert_eq!(err, StoreError::BlockNotWritten(9));
     // Updating an unwritten block is a caller error.
     assert!(matches!(
         store.update_block(pid, 9, &[1, 2, 3]),

@@ -8,6 +8,7 @@ use dna_storage::block_store::{
     PartitionId, ServerConfig, StoreError, StoreServer, UpdateLayout, BLOCK_SIZE,
 };
 use dna_storage::sim::{IdsChannel, Sequencer};
+use std::time::Duration;
 
 /// Scales the Illumina error profile by an integer factor.
 fn illumina_scaled(factor: u32) -> IdsChannel {
@@ -93,7 +94,7 @@ fn batch_read_beats_sequential_rounds_with_identical_bytes() {
         sequential.push(out.block);
     }
     let requests: Vec<(PartitionId, u64)> = (0..8u64).map(|b| (pid, b)).collect();
-    let batch = store.read_blocks_batch(&requests).unwrap();
+    let batch = store.read_blocks_batch(&requests);
     assert!(
         batch.stats.rounds < sequential_rounds,
         "batch {} rounds vs sequential {sequential_rounds}",
@@ -159,7 +160,7 @@ fn mixed_read_update_batch_interleaving_over_partitions() {
         .iter()
         .flat_map(|&pid| (0..3u64).map(move |b| (pid, b)))
         .collect();
-    let batch = store.read_blocks_batch(&requests).unwrap();
+    let batch = store.read_blocks_batch(&requests);
     assert!(batch.stats.rounds <= pids.len(), "{:?}", batch.stats);
     for (r, outcome) in batch.outcomes.iter().enumerate() {
         let (p, b) = (r / 3, r % 3);
@@ -281,11 +282,9 @@ fn forced_single_pair_rounds_still_round_trip() {
         ..BatchPlanner::paper_default()
     };
     let requests = [(a, 0u64), (a, 1), (b, 0), (b, 1)];
-    let strict = store
-        .read_blocks_batch_planned(&requests, &planner)
-        .unwrap();
+    let strict = store.read_blocks_batch_planned(&requests, &planner);
     assert_eq!(strict.stats.rounds, 2);
-    let relaxed = store.read_blocks_batch(&requests).unwrap();
+    let relaxed = store.read_blocks_batch(&requests);
     assert!(relaxed.stats.rounds <= strict.stats.rounds);
     for (s, r) in strict.outcomes.iter().zip(&relaxed.outcomes) {
         assert_eq!(
@@ -410,7 +409,7 @@ fn compaction_policy_keeps_the_same_workload_alive_through_the_server() {
 
         let (store, pid, mut data) = small_update_store(seed, layout);
         let config = ServerConfig {
-            window: BatchWindow::Immediate,
+            window: BatchWindow::Window(Duration::ZERO),
             compaction: Some(CompactionPolicy::headroom_only(2)),
             ..ServerConfig::paper_default()
         };
@@ -469,7 +468,7 @@ fn compaction_lowers_hot_block_batch_read_cost() {
             store.update_block(pid, 0, &data[..BLOCK_SIZE]).unwrap();
         }
         let requests = [(pid, 0u64)];
-        let pre = store.read_blocks_batch(&requests).unwrap();
+        let pre = store.read_blocks_batch(&requests);
         let pre_block = pre.outcomes[0].as_ref().unwrap();
         assert_eq!(pre_block.block.data, &data[..BLOCK_SIZE]);
         assert_eq!(pre_block.patches_applied, 8, "{layout}");
@@ -478,7 +477,7 @@ fn compaction_lowers_hot_block_batch_read_cost() {
         assert!(report.units_reclaimed >= 8, "{layout}: {report:?}");
         assert!(report.rewrites_synthesized >= 1, "{layout}");
 
-        let post = store.read_blocks_batch(&requests).unwrap();
+        let post = store.read_blocks_batch(&requests);
         let post_block = post.outcomes[0].as_ref().unwrap();
         assert_eq!(
             post_block.block.data,

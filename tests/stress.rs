@@ -28,8 +28,8 @@
 //! executes zero wetlab rounds.
 
 use dna_storage::block_store::{
-    workload, BatchWindow, BlockStore, CachePolicy, PartitionConfig, PartitionId, ServerConfig,
-    StoreServer, BLOCK_SIZE,
+    workload, BatchWindow, BlockStore, PartitionConfig, PartitionId, ServerConfig, StoreServer,
+    BLOCK_SIZE,
 };
 use dna_storage::seq::rng::DetRng;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -157,7 +157,6 @@ fn expected_final_versions(plans: &[Vec<Op>]) -> Vec<Vec<u32>> {
 fn run_stress(seed: u64) -> Vec<Vec<Vec<u8>>> {
     let config = ServerConfig {
         cache_capacity: 64,
-        cache_policy: CachePolicy::Invalidate,
         window: BatchWindow::Window(Duration::from_millis(1)),
         ..ServerConfig::paper_default()
     };
@@ -425,7 +424,6 @@ fn shard_storm_mixed_ops_all_layouts() {
     let seed = 0x51A6;
     let config = ServerConfig {
         cache_capacity: 16,
-        cache_policy: CachePolicy::Invalidate,
         window: BatchWindow::Window(Duration::from_micros(300)),
         ..ServerConfig::paper_default()
     };
