@@ -5,6 +5,12 @@
 //! hashing-based clustering: cheap MinHash signature buckets propose
 //! candidate clusters, bounded edit distance against the cluster
 //! representative confirms membership.
+//!
+//! Confirmation runs on `levenshtein_bounded`'s banded bit-vector kernel,
+//! one word step per base. Once a candidate confirms at distance `d`, the
+//! later candidates are checked with bound `d − 1`, because only a strictly
+//! closer one can take the read, and a distance of 0 ends the search. The
+//! signatures, now the larger cost, are computed once per distinct read.
 
 use dna_seq::distance::levenshtein_bounded;
 use dna_seq::kmer::MinHashSignature;
@@ -63,32 +69,47 @@ pub fn cluster_reads(reads: &[DnaSeq], config: &ClusterConfig) -> Vec<Cluster> {
     // Bucket index: (slot index, slot value) → cluster ids.
     let mut buckets: HashMap<(usize, u64), Vec<usize>> = HashMap::new();
     let mut candidates: Vec<usize> = Vec::new();
+    // `seen[c] == i + 1` once cluster `c` is a candidate for read `i`.
+    let mut seen: Vec<usize> = Vec::new();
+    // Signature of each distinct read, keyed by (length, packed bases). A
+    // read equal to an earlier one reuses its signature: error-free copies
+    // of one strand are about half of a job's Illumina interiors.
+    let mut signed: HashMap<(usize, Vec<u8>), usize> = HashMap::new();
+    let mut sigs: Vec<MinHashSignature> = Vec::new();
 
     for (i, read) in reads.iter().enumerate() {
-        let sig = MinHashSignature::new(read, config.kmer, config.slots);
+        let key = (read.len(), read.to_packed_bytes());
+        let sig_idx = *signed.entry(key).or_insert_with(|| {
+            sigs.push(MinHashSignature::new(read, config.kmer, config.slots));
+            sigs.len() - 1
+        });
+        let sig = &sigs[sig_idx];
         // Collect candidate clusters from matching buckets, preserving
         // discovery order for determinism.
         candidates.clear();
         for (s, &v) in sig.slots().iter().enumerate() {
             if let Some(ids) = buckets.get(&(s, v)) {
                 for &c in ids {
-                    if !candidates.contains(&c) {
+                    if seen[c] != i + 1 {
+                        seen[c] = i + 1;
                         candidates.push(c);
                     }
                 }
             }
         }
         // Confirm with bounded edit distance to the representative; take the
-        // closest match.
+        // closest match, the first one on a tie.
         let mut best: Option<(usize, usize)> = None; // (dist, cluster)
         for &c in candidates.iter() {
+            let bound = match best {
+                Some((0, _)) => break,
+                Some((bd, _)) => bd - 1,
+                None => config.max_edit,
+            };
             let rep_idx = clusters[c].members[0];
-            if let Some(d) =
-                levenshtein_bounded(read.as_slice(), reads[rep_idx].as_slice(), config.max_edit)
+            if let Some(d) = levenshtein_bounded(read.as_slice(), reads[rep_idx].as_slice(), bound)
             {
-                if best.is_none_or(|(bd, _)| d < bd) {
-                    best = Some((d, c));
-                }
+                best = Some((d, c));
             }
         }
         match best {
@@ -96,6 +117,7 @@ pub fn cluster_reads(reads: &[DnaSeq], config: &ClusterConfig) -> Vec<Cluster> {
             None => {
                 let id = clusters.len();
                 clusters.push(Cluster { members: vec![i] });
+                seen.push(0);
                 for (s, &v) in sig.slots().iter().enumerate() {
                     buckets.entry((s, v)).or_default().push(id);
                 }

@@ -97,71 +97,90 @@ pub fn levenshtein(a: &[Base], b: &[Base]) -> usize {
     prev[b.len()]
 }
 
-/// Band cells kept on the stack by [`levenshtein_bounded`]: bounds up to
-/// 32 (after clamping) never touch the allocator.
-const STACK_BAND: usize = 2 * 32 + 1;
-
-/// Banded Levenshtein distance with early exit: returns `None` if the
-/// distance exceeds `bound`. Runs in `O(bound · max(|a|,|b|))`, which is what
-/// makes clustering millions of reads tractable.
+/// Banded Levenshtein distance with early exit: returns the distance when
+/// it is at most `bound`, and `None` otherwise.
 ///
-/// The band is a single row updated in place, kept on the stack for bounds
-/// up to 32, and the scan stops at the first row whose every band cell
-/// already exceeds `bound` (each alignment path crosses every row, and
-/// costs never decrease along a path).
+/// For `2·bound + 1 ≤ 64` (the store's bounds are 10, 5, 3 and 1) this is
+/// H. Hyyrö's banded form of Myers' bit-vector algorithm (Hyyrö 2003,
+/// Myers 1999): the `2·bound + 1` diagonals around the main one fit in one
+/// `u64`, so each base of the longer sequence costs one word step of about
+/// twenty operations instead of `2·bound + 1` dynamic-program cells, and
+/// nothing is allocated. The cell on the diagonal that ends at the final
+/// cell never decreases along the diagonal, so the scan stops at the first
+/// base that pushes it past `bound`. Wider bands fall back to the full
+/// [`levenshtein`] and a bound check.
 pub fn levenshtein_bounded(a: &[Base], b: &[Base], bound: usize) -> Option<usize> {
-    let (n, m) = (a.len(), b.len());
+    // Edit distance is symmetric: scan the longer sequence as the text.
+    let (a, b) = if a.len() > b.len() { (b, a) } else { (a, b) };
     // No edit distance exceeds the longer length, so this clamp changes no
     // result; it keeps the band width `2·bound + 1` from overflowing.
-    let bound = bound.min(n.max(m));
-    if n.abs_diff(m) > bound {
+    let bound = bound.min(b.len());
+    if b.len() - a.len() > bound {
         return None;
     }
-    if n == 0 || m == 0 {
-        return Some(n.max(m));
+    if 2 * bound + 1 > 64 {
+        let d = levenshtein(a, b);
+        return (d <= bound).then_some(d);
     }
-    const BIG: usize = usize::MAX / 2;
-    let width = 2 * bound + 1;
-    let mut stack = [BIG; STACK_BAND];
-    let mut heap = Vec::new();
-    let row: &mut [usize] = if width <= STACK_BAND {
-        &mut stack[..width]
-    } else {
-        heap.resize(width, BIG);
-        &mut heap
-    };
-    // `row[j + bound - i]` holds cell (i, j); row i = 0 is `D(0, j) = j`.
-    for (j, slot) in row[bound..].iter_mut().take(m + 1).enumerate() {
-        *slot = j;
+    banded_levenshtein(a, b, bound)
+}
+
+/// The single-word kernel of [`levenshtein_bounded`], for `a.len() ≤
+/// b.len() ≤ a.len() + k` and `2k + 1 ≤ 64`.
+///
+/// Rows are `a`'s prefixes, columns `b`'s. At column `j`, bit `t` of every
+/// vector is row `j − k + t`, so shifting the vectors right by one between
+/// columns keeps each bit on its diagonal, and bit `2k` is the band's last
+/// row. Every cell the word holds is at least `|r − j|` whatever its match
+/// bits say, because column 0 starts at `D(r, 0) = |r|` and each step off
+/// a diagonal costs 1. So only the band's rows `1..=a.len()` need true
+/// match bits: the word's bits below the band are rows more than `k` off
+/// the main diagonal and stay above `k`, rows above row 0 (`D(r, j) = j −
+/// r`) keep row 0 at `D(0, j) = j` without a special case for the first
+/// `k` columns, and rows past `a.len()` never reach the rows above them.
+/// The delta entering above the band's top is 0, which no minimum takes
+/// over its diagonal term.
+fn banded_levenshtein(a: &[Base], b: &[Base], k: usize) -> Option<usize> {
+    // `a`'s bases in the band as two bit planes, the low and the high bit of
+    // each base code. At column 0 the band's rows are -k..=k.
+    let (mut lo, mut hi) = (0u64, 0u64);
+    for (r, &base) in a.iter().take(k).enumerate() {
+        lo |= u64::from(base.code() & 1) << (k + 1 + r);
+        hi |= u64::from(base.code() >> 1) << (k + 1 + r);
     }
-    for i in 1..=n {
-        let x = a[i - 1];
-        let lo = i.saturating_sub(bound);
-        let hi = (i + bound).min(m);
-        let mut left = BIG; // cell (i, j - 1)
-        let mut row_min = BIG;
-        for j in lo..=hi {
-            let k = j + bound - i;
-            // Ascending k: row[k] still holds (i-1, j-1) and row[k + 1]
-            // still holds (i-1, j).
-            let cell = if j == 0 {
-                i
-            } else {
-                let up = row.get(k + 1).copied().unwrap_or(BIG);
-                (row[k] + usize::from(x != b[j - 1]))
-                    .min(up + 1)
-                    .min(left + 1)
-            };
-            row[k] = cell;
-            left = cell;
-            row_min = row_min.min(cell);
-        }
-        if row_min > bound {
+    // Vertical deltas of column 0: -1 down to row 0, +1 below it.
+    let mut vn = (1u64 << (k + 1)) - 1;
+    let mut vp = !vn;
+    // Bit of the diagonal that ends at (a.len(), b.len()), and the distance
+    // of its cell at column 0, a row above row 0.
+    let diag = k - (b.len() - a.len());
+    let mut score = b.len() - a.len();
+    let mut incoming = a.iter().skip(k);
+    for &base in b {
+        // The next column: the band drops its top row and gains one below.
+        let next = incoming.next().map_or(0, |n| n.code());
+        lo = (lo >> 1) | u64::from(next & 1) << (2 * k);
+        hi = (hi >> 1) | u64::from(next >> 1) << (2 * k);
+        vp >>= 1;
+        vn >>= 1;
+        // Bit `t` of `eq`: the row at bit `t` holds `base`.
+        let code = base.code();
+        let eq = !((lo ^ 0u64.wrapping_sub(u64::from(code & 1)))
+            | (hi ^ 0u64.wrapping_sub(u64::from(code >> 1))));
+        // Hyyrö's step: `d0` marks the cells equal to their diagonal
+        // predecessor, so the tracked diagonal grows where it is clear.
+        let d0 = ((eq & vp).wrapping_add(vp) ^ vp) | eq | vn;
+        let hp = vn | !(d0 | vp);
+        let hn = vp & d0;
+        score += ((!d0 >> diag) & 1) as usize;
+        if score > k {
             return None;
         }
+        let (hp, hn) = (hp << 1, hn << 1);
+        vp = hn | !(d0 | hp);
+        vn = hp & d0;
     }
-    let d = row[m + bound - n];
-    (d <= bound).then_some(d)
+    Some(score)
 }
 
 /// Myers' bit-vector edit distance from one fixed pattern of at most
@@ -413,8 +432,8 @@ mod tests {
     }
 
     #[test]
-    fn bounded_levenshtein_wide_bands_leave_the_stack() {
-        // Bounds above 32 need more band cells than the stack row holds.
+    fn bounded_levenshtein_wide_bands_fall_back_to_the_full_distance() {
+        // Bounds above 31 make the band wider than the kernel's word.
         let mut rng = crate::rng::DetRng::seed_from_u64(3);
         let mut random =
             |n: usize| DnaSeq::from_bases((0..n).map(|_| Base::from_code(rng.gen_range(4) as u8)));
@@ -428,6 +447,34 @@ mod tests {
                     want,
                     "{n}x{m} bound {bound}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_levenshtein_is_exact_on_every_short_pair() {
+        // Every sequence of up to 4 bases against every other, at every
+        // bound up to one past the longest: covers the virtual rows above
+        // row 0, the band edges and both argument orders exhaustively.
+        let seqs: Vec<DnaSeq> = (0..=4u32)
+            .flat_map(|len| {
+                (0..4usize.pow(len)).map(move |code| {
+                    DnaSeq::from_bases(
+                        (0..len).map(|i| Base::from_code((code >> (2 * i)) as u8 & 3)),
+                    )
+                })
+            })
+            .collect();
+        for a in &seqs {
+            for b in &seqs {
+                let full = levenshtein(a.as_slice(), b.as_slice());
+                for bound in 0..=5 {
+                    assert_eq!(
+                        levenshtein_bounded(a.as_slice(), b.as_slice(), bound),
+                        (full <= bound).then_some(full),
+                        "{a} vs {b} bound {bound}"
+                    );
+                }
             }
         }
     }

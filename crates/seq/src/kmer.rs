@@ -66,10 +66,20 @@ impl Kmer {
 /// Iterates over all overlapping k-mers of a sequence.
 ///
 /// Yields nothing if the sequence is shorter than `k` or `k` is 0 or > 32.
+/// One packed k-mer rolls along the sequence: each step shifts in the next
+/// base and masks off the one leaving the window.
 pub fn kmers(seq: &DnaSeq, k: usize) -> impl Iterator<Item = Kmer> + '_ {
     let valid = (1..=32).contains(&k) && seq.len() >= k;
-    let count = if valid { seq.len() - k + 1 } else { 0 };
-    (0..count).map(move |i| Kmer::from_bases(&seq.as_slice()[i..i + k]).expect("valid window"))
+    let (bases, mask) = if valid {
+        (seq.as_slice(), u64::MAX >> (64 - 2 * k))
+    } else {
+        (&[][..], 0)
+    };
+    let mut packed = 0u64;
+    bases.iter().enumerate().filter_map(move |(i, &b)| {
+        packed = ((packed << 2) | u64::from(b.code())) & mask;
+        (i + 1 >= k).then_some(Kmer { packed, k: k as u8 })
+    })
 }
 
 /// A fixed-width MinHash signature over a sequence's k-mer set.
@@ -175,6 +185,40 @@ mod tests {
         assert_eq!(kmers(&seq, 0).count(), 0);
         let all: Vec<String> = kmers(&seq, 3).map(|k| k.to_seq().to_string()).collect();
         assert_eq!(all, ["ACG", "CGT", "GTA", "TAC"]);
+    }
+
+    #[test]
+    fn rolling_kmers_equal_packed_windows() {
+        let seq = s("ACGTTGCAACGGTACCATGCATGCAAGTCCGATTACAGGATC");
+        for k in [1, 2, 7, 8, 31, 32] {
+            let windows: Vec<Kmer> = seq
+                .as_slice()
+                .windows(k)
+                .map(|w| Kmer::from_bases(w).unwrap())
+                .collect();
+            assert_eq!(kmers(&seq, k).collect::<Vec<_>>(), windows, "k = {k}");
+        }
+        assert_eq!(kmers(&seq, 33).count(), 0);
+    }
+
+    #[test]
+    fn minhash_slot_values_are_pinned() {
+        // Clustering buckets reads on these exact values: a change to the
+        // k-mer packing or the slot hash changes which candidates it finds.
+        let sig = MinHashSignature::new(&s("ACGTTGCAACGGTACCATGCATGCAAGTCCGATTACAGGATC"), 8, 8);
+        assert_eq!(
+            sig.slots(),
+            [
+                1091084808591985392,
+                105477243930055813,
+                56400056551686456,
+                1193049212026698477,
+                89591771130848758,
+                121766438178104654,
+                146752891114086963,
+                1299190338380052102,
+            ]
+        );
     }
 
     #[test]

@@ -53,6 +53,24 @@ fn arb_len_seq(len: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = Dn
         .prop_map(|codes| DnaSeq::from_bases(codes.into_iter().map(Base::from_code)))
 }
 
+/// Asserts `levenshtein_bounded` is the full dynamic program's distance
+/// when that is within `bound` and `None` otherwise, in both argument
+/// orders.
+fn assert_bounded_exact(a: &DnaSeq, b: &DnaSeq, bound: usize) -> Result<(), TestCaseError> {
+    let full = levenshtein(a.as_slice(), b.as_slice());
+    let want = (full <= bound).then_some(full);
+    prop_assert_eq!(
+        levenshtein_bounded(a.as_slice(), b.as_slice(), bound),
+        want,
+        "{} vs {} bound {}",
+        a,
+        b,
+        bound
+    );
+    prop_assert_eq!(levenshtein_bounded(b.as_slice(), a.as_slice(), bound), want);
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn prefix_aligner_matches_levenshtein_on_random_text(
@@ -127,13 +145,53 @@ proptest! {
     }
 
     #[test]
-    fn bounded_levenshtein_matches_full(a in arb_seq(40), b in arb_seq(40), bound in 0usize..12) {
+    fn bounded_levenshtein_matches_full(
+        a in arb_len_seq(0..=200),
+        b in arb_len_seq(0..=200),
+        bound in 0usize..=31,
+    ) {
+        assert_bounded_exact(&a, &b, bound)?;
+    }
+
+    #[test]
+    fn bounded_levenshtein_matches_full_on_near_misses(
+        a in arb_len_seq(0..=200),
+        edits in prop::collection::vec((0u8..3, 0usize..200, 0u8..4), 0..40),
+        tail in arb_seq(4),
+        bound in 0usize..=31,
+    ) {
+        let b = mutate(&a, &edits, &tail);
+        assert_bounded_exact(&a, &b, bound)?;
+        // The bounds on either side of the distance, where an off-by-one
+        // in the early exit or the final read-out would show.
         let full = levenshtein(a.as_slice(), b.as_slice());
-        let got = levenshtein_bounded(a.as_slice(), b.as_slice(), bound);
-        if full <= bound {
-            prop_assert_eq!(got, Some(full));
-        } else {
-            prop_assert_eq!(got, None);
+        for near in [full.saturating_sub(1), full, full + 1] {
+            assert_bounded_exact(&a, &b, near)?;
+        }
+    }
+
+    #[test]
+    fn bounded_levenshtein_matches_full_when_the_bound_covers_the_length(
+        a in arb_len_seq(0..=40),
+        b in arb_len_seq(0..=40),
+        extra in 0usize..=30,
+    ) {
+        let longer = a.len().max(b.len());
+        assert_bounded_exact(&a, &b, longer + extra)?;
+        assert_bounded_exact(&a, &b, usize::MAX)?;
+    }
+
+    #[test]
+    fn bounded_levenshtein_matches_full_at_the_word_edge(
+        a in arb_len_seq(0..=120),
+        edits in prop::collection::vec((0u8..3, 0usize..120, 0u8..4), 0..60),
+        tail in arb_seq(40),
+    ) {
+        // Bound 31 is the widest band one word holds (63 diagonals);
+        // bound 32 (65 diagonals) takes the full-distance fallback.
+        let b = mutate(&a, &edits, &tail);
+        for bound in [30, 31, 32, 33] {
+            assert_bounded_exact(&a, &b, bound)?;
         }
     }
 
