@@ -344,32 +344,36 @@ impl Partition {
         block: u64,
         content: &Block,
     ) -> Result<Vec<Molecule>, StoreError> {
-        self.record_block_write(block)?;
+        self.check_block_write(block)?;
+        self.record_block_write(block);
         Ok(self.encode_unit(block, VersionSlot(0), content))
     }
 
-    /// Commits the bookkeeping half of [`Partition::encode_block`] —
-    /// validates the write and records it — without producing the strands.
-    /// A sharded store uses this to *encode* a unit from an immutable
-    /// partition snapshot (via [`Partition::encode_unit`], outside any
-    /// lock) and then commit the write separately once the snapshot
-    /// validates.
+    /// Validates the bookkeeping half of [`Partition::encode_block`]
+    /// without recording anything. A sharded store validates every block
+    /// of a write with this before it records any of them through
+    /// [`Partition::record_block_write`].
     ///
     /// # Errors
     ///
     /// Rejects out-of-range blocks, blocks colliding with the overflow
-    /// region, and double writes.
-    pub fn record_block_write(&mut self, block: u64) -> Result<(), StoreError> {
+    /// leaves or the TwoStacks update stack, and double writes.
+    pub fn check_block_write(&self, block: u64) -> Result<(), StoreError> {
         if block >= self.num_leaves() {
             return Err(StoreError::BlockOutOfRange {
                 block,
                 capacity: self.num_leaves(),
             });
         }
-        if block >= self.overflow_next {
+        // Data grows up from leaf 0; Interleaved overflow leaves and the
+        // TwoStacks update stack grow down from the top.
+        let available = self
+            .overflow_next
+            .min(self.num_leaves() - self.stack_updates);
+        if block >= available {
             return Err(StoreError::FileTooLarge {
                 needed: block + 1,
-                available: self.overflow_next,
+                available,
             });
         }
         if self.writes_of(block) > 0 {
@@ -377,9 +381,14 @@ impl Partition {
                 "block {block} already written; use updates"
             )));
         }
+        Ok(())
+    }
+
+    /// Records the original write of `block`, which
+    /// [`Partition::check_block_write`] must have accepted.
+    pub fn record_block_write(&mut self, block: u64) {
         self.write_counts.insert(block, 1);
         self.max_block_written = self.max_block_written.max(block);
-        Ok(())
     }
 
     /// Plans where the next update of `block` goes (see
@@ -1010,6 +1019,26 @@ mod tests {
     }
 
     #[test]
+    fn two_stacks_writes_stop_below_the_update_stack() {
+        let config = PartitionConfig::small(9, 2, UpdateLayout::TwoStacks);
+        let mut p = Partition::new(config, primers());
+        p.record_block_write(0);
+        for _ in 0..3 {
+            let placement = p.plan_update(0).unwrap();
+            p.commit_placement(0, &placement);
+        }
+        // The stack holds leaves 15, 14 and 13, so block 13 is taken.
+        assert!(matches!(
+            p.check_block_write(13),
+            Err(StoreError::FileTooLarge {
+                needed: 14,
+                available: 13
+            })
+        ));
+        assert!(p.check_block_write(12).is_ok());
+    }
+
+    #[test]
     fn slot_math_survives_the_255_boundary() {
         // update_slots at the u8 maximum: direct slots 1..=254, the pointer
         // at slot 255, chain leaves carrying 255 patches each. Only the
@@ -1020,7 +1049,7 @@ mod tests {
             ..PartitionConfig::paper_default(21)
         };
         let mut p = Partition::new(cfg, primers());
-        p.record_block_write(0).unwrap();
+        p.record_block_write(0);
         // Fill all 254 direct slots.
         for i in 1..=254u8 {
             let pl = p.plan_update(0).unwrap();

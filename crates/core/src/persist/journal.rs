@@ -8,10 +8,10 @@
 //! ```
 //!
 //! Every committed mutation appends one frame and fsyncs it *before* the
-//! client observes success. Records carry the shard's post-commit epoch,
-//! so recovery can replay exactly the records strictly above the
-//! snapshot's epoch and assert that each replayed commit lands on the
-//! recorded epoch. A crash mid-append leaves a torn final frame, which
+//! commit is applied in memory. Records carry the shard's post-commit
+//! epoch, so recovery can replay exactly the records strictly above the
+//! snapshot's epoch, each of which must re-derive itself record for
+//! record. A crash mid-append leaves a torn final frame, which
 //! [`scan_journal`] detects (length or checksum mismatch) and recovery
 //! truncates — the committed prefix before it is always intact.
 
@@ -22,7 +22,7 @@ use crate::partition::PartitionConfig;
 use crate::StoreError;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Magic bytes opening every journal file.
 pub(crate) const JOURNAL_MAGIC: [u8; 8] = *b"DNABSJNL";
@@ -38,7 +38,7 @@ fn io(what: &str, e: std::io::Error) -> StoreError {
 ///
 /// Records that mutate a shard carry the shard's **post-commit epoch**;
 /// recovery skips records at or below the restored shard's epoch and
-/// asserts that replaying the rest reproduces each recorded epoch exactly.
+/// asserts that replaying the rest re-derives each record exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalRecord {
     /// A data partition was created and received the next free primer
@@ -296,7 +296,6 @@ pub fn scan_journal(path: &Path, expected_seed: u64) -> Result<JournalScan, Stor
 #[derive(Debug)]
 pub struct Journal {
     file: File,
-    path: PathBuf,
     /// Current byte length of the file (all appends go through us).
     written: u64,
     /// Testing-only crash injection: abort the process once the file
@@ -319,7 +318,6 @@ impl Journal {
             .map_err(|e| io("write journal header", e))?;
         Ok(Journal {
             file,
-            path: path.to_path_buf(),
             written: JOURNAL_HEADER_LEN,
             crash_after_bytes: None,
         })
@@ -347,7 +345,6 @@ impl Journal {
             .map_err(|e| io("seek journal end", e))?;
         Ok(Journal {
             file,
-            path: path.to_path_buf(),
             written,
             crash_after_bytes: None,
         })
@@ -406,11 +403,6 @@ impl Journal {
         self.written
     }
 
-    /// The journal's file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Arms (or disarms) the crash-injection knob: once the file would
     /// grow past `limit` absolute bytes, the next append flushes a torn
     /// prefix and aborts the process. **Testing only.**
@@ -446,7 +438,7 @@ mod tests {
         ]
     }
 
-    fn tmp_path(name: &str) -> PathBuf {
+    fn tmp_path(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("dna-journal-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)

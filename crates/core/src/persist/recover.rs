@@ -10,9 +10,10 @@
 //!    truncated back to it. Header damage is a hard error: that is not a
 //!    torn tail but the wrong file.
 //! 3. Replay every scanned record. Records already covered by the image
-//!    (epoch at or below the restored shard's) are skipped; each applied
-//!    record must land exactly on its recorded epoch or recovery fails
-//!    detectably — it never serves a state it cannot prove.
+//!    (epoch at or below the restored shard's) are skipped; every other
+//!    record runs its kind's live commit path, which must derive exactly
+//!    the journaled record or recovery fails detectably — it never serves
+//!    a state it cannot prove.
 //! 4. Attach the journal and checkpoint: the replayed history is folded
 //!    into a fresh image and the journal resets to its header. A crash
 //!    *during* this checkpoint is also safe — the image write is atomic
@@ -55,11 +56,6 @@ impl PersistPaths {
     pub fn journal(&self) -> PathBuf {
         self.root.join("store.journal")
     }
-
-    /// The directory both files live in.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
 }
 
 /// Opens the durable store rooted at `dir`, recovering from any crash:
@@ -72,7 +68,7 @@ impl PersistPaths {
 ///
 /// [`StoreError::Persist`] when the on-disk state is unusable: corrupt or
 /// version-mismatched image, journal from a different archive (seed
-/// mismatch), a replay that diverges from its recorded epochs, or I/O
+/// mismatch), a replay that diverges from its journal records, or I/O
 /// failure. Damage recovery *can* prove harmless — a torn journal tail, a
 /// leftover temporary image — is repaired silently instead.
 pub fn open_or_recover_store(dir: &Path, seed: u64) -> Result<BlockStore, StoreError> {

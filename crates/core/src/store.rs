@@ -57,11 +57,12 @@
 //!    snapshot, lock-free — so the expensive phase for shard A runs
 //!    concurrently with commits to shard B, and a panic inside the
 //!    fallible wetlab/decode code can never poison a shard lock;
-//! 3. **validate and commit** — re-lock, compare the epoch; if unchanged,
-//!    apply the in-place mutations ([`dna_sim::Pool::mix_in`],
-//!    `commit_placement`, epoch bump); if another writer won, retry from a
-//!    fresh snapshot (every failed validation implies another commit
-//!    landed, so the system as a whole always makes progress).
+//! 3. **validate and commit** — re-lock; if another writer won (epoch
+//!    moved), retry from a fresh snapshot (so the system as a whole always
+//!    makes progress). Otherwise `BlockStore::commit`, the one commit path
+//!    that recovery replays through too, validates, journals, and only then
+//!    applies the in-place mutations ([`dna_sim::Pool::mix_in`],
+//!    `commit_placement`, epoch bump).
 //!
 //! Reads need no commit: their result is linearized at snapshot time, and
 //! the snapshot epoch travels with the outcome
@@ -72,7 +73,9 @@ use crate::batch::{BatchPlanner, BatchStats, PlanItem};
 use crate::block::{unit_checksum_ok, Block, BLOCK_SIZE};
 use crate::compaction::CompactionReport;
 use crate::layout::UpdateLayout;
-use crate::partition::{parse_pointer_block, Partition, PartitionConfig, VersionSlot};
+use crate::partition::{
+    parse_pointer_block, Partition, PartitionConfig, UpdatePlacement, VersionSlot,
+};
 use crate::persist::{
     write_image_atomic_with_crash, Journal, JournalRecord, PersistPaths, ShardImage, StoreImage,
 };
@@ -280,6 +283,24 @@ struct Directory {
     seed: u64,
 }
 
+impl Directory {
+    /// Adds the next partition's shard — the shared log's when `log` —
+    /// under its lock rank, returning its id.
+    fn push_shard(&mut self, shard: PartitionShard, log: bool) -> usize {
+        let pid = self.shards.len();
+        let (rank, name) = match log {
+            true => (LockRank::LOG_SHARD, "log-shard"),
+            false => (LockRank::shard(pid), "data-shard"),
+        };
+        if log {
+            self.log_pid = Some(pid);
+        }
+        self.shards
+            .push(Arc::new(RankedMutex::new(rank, name, shard)));
+        pid
+    }
+}
+
 /// Primer-pair allocation state.
 #[derive(Debug)]
 struct PrimerAlloc {
@@ -312,9 +333,9 @@ pub struct BlockStore {
     directory: RankedRwLock<Directory>,
     // lock-rank: 1
     alloc: RankedMutex<PrimerAlloc>,
-    /// Write-ahead journal, appended inside commit critical sections.
-    /// Its rank is last of all, so a commit may journal while holding any
-    /// store lock; nothing is ever acquired under it.
+    /// Write-ahead journal, appended only by `BlockStore::commit` between
+    /// validate and apply. Its rank is last of all, so a commit may journal
+    /// while holding any store lock; nothing is ever acquired under it.
     // lock-rank: journal
     journal: RankedMutex<Option<DurableSink>>,
 }
@@ -455,14 +476,27 @@ impl BlockStore {
     /// Rejected once the log partition exists — its geometry is baked into
     /// every synthesized entry.
     pub fn set_log_partition_config(&mut self, config: PartitionConfig) -> Result<(), StoreError> {
-        let dir = self.directory.get_mut().expect("directory lock");
-        if dir.log_pid.is_some() {
-            return Err(StoreError::InvalidPatch(
-                "log partition already created; configure before the first log update".to_string(),
-            ));
-        }
-        dir.log_config = config;
-        self.journal_append(JournalRecord::SetLogConfig { config })
+        self.set_log_config(config, None)
+    }
+
+    fn set_log_config(
+        &self,
+        config: PartitionConfig,
+        replay: Option<&JournalRecord>,
+    ) -> Result<(), StoreError> {
+        let mut dir = self.directory.write().expect("directory lock");
+        self.commit(
+            &mut *dir,
+            replay,
+            |dir| match dir.log_pid {
+                Some(_) => Err(StoreError::InvalidPatch(
+                    "log partition already created; configure before the first log update"
+                        .to_string(),
+                )),
+                None => Ok(JournalRecord::SetLogConfig { config }),
+            },
+            |dir| dir.log_config = config,
+        )
     }
 
     /// Sets the sequencing coverage (reads per expected strand).
@@ -560,82 +594,91 @@ impl BlockStore {
     /// exhausted (§1: only ~1000–3000 compatible primers exist at length
     /// 20 — the scarcity that motivates this whole design).
     pub fn create_partition(&self, config: PartitionConfig) -> Result<PartitionId, StoreError> {
-        let mut dir = self.directory.write().expect("directory lock");
-        let pair = self.next_primer_pair()?;
-        let mut config = config;
-        let pid = dir.shards.len();
-        config.partition_tag =
-            u32::try_from(pid).map_err(|_| StoreError::TooManyPartitions(pid))?;
-        let rng = DetRng::seed_from_u64(dir.seed ^ 0xA11C).derive(pid as u64);
-        dir.shards.push(Arc::new(RankedMutex::new(
-            LockRank::shard(pid),
-            "data-shard",
-            PartitionShard::new(Partition::new(config, pair), rng),
-        )));
-        self.journal_append(JournalRecord::CreatePartition {
-            pid: pid as u64,
-            config,
-        })?;
-        Ok(PartitionId(pid))
+        self.create_shard(Some(config), None).map(PartitionId)
     }
 
-    /// The shared log shard's id, creating it (with the configured
-    /// template) on first use.
-    fn ensure_log_partition(&self) -> Result<usize, StoreError> {
-        if let Some(pid) = self.dir_read().log_pid {
-            return Ok(pid);
-        }
-        let mut dir = self.directory.write().expect("directory lock");
-        if let Some(pid) = dir.log_pid {
+    /// Creates a data partition from `config`, or — for `None` — the
+    /// shared log partition from the configured template (returning the
+    /// log's id if it already exists). The next primer pair is handed out
+    /// only once the creation is journaled, so a refused or failed creation
+    /// shifts no later partition's primers.
+    fn create_shard(
+        &self,
+        config: Option<PartitionConfig>,
+        replay: Option<&JournalRecord>,
+    ) -> Result<usize, StoreError> {
+        let dir = self.directory.write().expect("directory lock");
+        if let (None, Some(pid)) = (config, dir.log_pid) {
             return Ok(pid); // raced another creator
         }
-        let pair = self.next_primer_pair()?;
-        let mut cfg = dir.log_config;
-        cfg.partition_tag = LOG_PARTITION_TAG; // distinguish log strands in tags
-        dir.log_config = cfg; // canonical: the template matches the journaled creation
         let pid = dir.shards.len();
-        let rng = DetRng::seed_from_u64(dir.seed ^ 0xA11C).derive(pid as u64);
-        dir.shards.push(Arc::new(RankedMutex::new(
-            LockRank::LOG_SHARD,
-            "log-shard",
-            PartitionShard::new(Partition::new(cfg, pair), rng),
-        )));
-        dir.log_pid = Some(pid);
-        self.journal_append(JournalRecord::CreateLogPartition {
-            pid: pid as u64,
-            config: cfg,
-        })?;
-        Ok(pid)
-    }
-
-    fn next_primer_pair(&self) -> Result<PrimerPair, StoreError> {
-        let mut alloc = self.alloc.lock().expect("primer alloc lock");
-        if alloc.handed_out + 2 > alloc.library.len() {
-            return Err(StoreError::NoPrimerPairAvailable);
-        }
-        let fwd = alloc.library.primer(alloc.handed_out).clone();
-        let rev = alloc.library.primer(alloc.handed_out + 1).clone();
-        alloc.handed_out += 2;
-        Ok(PrimerPair::new(fwd, rev))
+        let log = config.is_none();
+        let mut config = config.unwrap_or(dir.log_config);
+        config.partition_tag = match log {
+            true => LOG_PARTITION_TAG, // distinguish log strands in tags
+            false => u32::try_from(pid).map_err(|_| StoreError::TooManyPartitions(pid))?,
+        };
+        let alloc = self.alloc.lock().expect("primer alloc lock");
+        self.commit(
+            &mut (dir, alloc),
+            replay,
+            |(_, alloc)| {
+                if alloc.handed_out + 2 > alloc.library.len() {
+                    return Err(StoreError::NoPrimerPairAvailable);
+                }
+                let pid = pid as u64;
+                Ok(match log {
+                    true => JournalRecord::CreateLogPartition { pid, config },
+                    false => JournalRecord::CreatePartition { pid, config },
+                })
+            },
+            |(dir, alloc)| {
+                let fwd = alloc.library.primer(alloc.handed_out).clone();
+                let rev = alloc.library.primer(alloc.handed_out + 1).clone();
+                alloc.handed_out += 2;
+                let rng = DetRng::seed_from_u64(dir.seed ^ 0xA11C).derive(pid as u64);
+                let shard =
+                    PartitionShard::new(Partition::new(config, PrimerPair::new(fwd, rev)), rng);
+                if log {
+                    dir.log_config = config; // canonical: matches the journaled creation
+                }
+                dir.push_shard(shard, log)
+            },
+        )
     }
 
     // ----- durability ------------------------------------------------------
 
-    /// Appends `record` to the write-ahead journal, if one is attached.
+    /// The one commit path of every journal record kind, live and in
+    /// recovery. Under the locks the caller holds (`locked`), `validate`
+    /// checks the prepared commit — epoch, address range, capacity, double
+    /// write, primer availability — and returns the record describing it;
+    /// the record is appended to the journal, if one is attached (its rank
+    /// is last, so appending under any store lock respects the global
+    /// order); only then does the infallible `apply` make the commit
+    /// visible. A refused commit or a failed append ([`StoreError::Persist`],
+    /// durability unknown) returns before `apply`, so memory never runs
+    /// ahead of the journal.
     ///
-    /// Called inside commit critical sections, after the epoch bump and
-    /// before the caller observes success — the journal rank is last, so
-    /// appending under any held store lock respects the global order. A
-    /// failed append surfaces as [`StoreError::Persist`]: the in-memory
-    /// commit has already happened (the store stays internally consistent)
-    /// but its durability is unknown, the standard ambiguous-outcome
-    /// contract of a write-ahead log.
-    fn journal_append(&self, record: JournalRecord) -> Result<(), StoreError> {
-        let mut sink = self.journal.lock().expect("journal lock");
-        match sink.as_mut() {
-            Some(sink) => sink.journal.append(&record),
-            None => Ok(()),
+    /// Recovery passes the journaled record as `replay`: nothing is
+    /// appended, and the record `validate` derives must equal it, or the
+    /// journal does not describe this store and recovery fails.
+    fn commit<L, T>(
+        &self,
+        locked: &mut L,
+        replay: Option<&JournalRecord>,
+        validate: impl FnOnce(&L) -> Result<JournalRecord, StoreError>,
+        apply: impl FnOnce(&mut L) -> T,
+    ) -> Result<T, StoreError> {
+        let record = validate(locked)?;
+        if let Some(recorded) = replay {
+            if *recorded != record {
+                return Err(StoreError::Persist(REPLAY_DIVERGED.to_string()));
+            }
+        } else if let Some(sink) = self.journal.lock().expect("journal lock").as_mut() {
+            sink.journal.append(&record)?;
         }
+        Ok(apply(locked))
     }
 
     /// Attaches the durability sink: every subsequent commit journals
@@ -806,7 +849,6 @@ impl BlockStore {
         };
         {
             let mut dir = store.directory.write().expect("directory lock");
-            dir.log_pid = log_pid;
             dir.log_config = image.log_config;
             for (pid, s) in image.shards.iter().enumerate() {
                 let partition = Partition::restore(
@@ -828,24 +870,16 @@ impl BlockStore {
                     }
                     logical.insert(*block, Block::from_bytes(data)?);
                 }
-                let (rank, name) = if Some(pid) == log_pid {
-                    (LockRank::LOG_SHARD, "log-shard")
-                } else {
-                    (LockRank::shard(pid), "data-shard")
+                let shard = PartitionShard {
+                    partition: Arc::new(partition),
+                    tube: Arc::new(tube),
+                    logical,
+                    epoch: s.epoch,
+                    rng: DetRng::from_state(s.rng_state),
+                    log_head: s.log_head,
+                    log_seq: s.log_seq,
                 };
-                dir.shards.push(Arc::new(RankedMutex::new(
-                    rank,
-                    name,
-                    PartitionShard {
-                        partition: Arc::new(partition),
-                        tube: Arc::new(tube),
-                        logical,
-                        epoch: s.epoch,
-                        rng: DetRng::from_state(s.rng_state),
-                        log_head: s.log_head,
-                        log_seq: s.log_seq,
-                    },
-                )));
+                dir.push_shard(shard, Some(pid) == log_pid);
             }
         }
         {
@@ -862,94 +896,63 @@ impl BlockStore {
         Ok(store)
     }
 
-    /// Replays one journal record during recovery (the journal is not yet
-    /// attached, so replayed commits do not re-journal themselves).
+    /// Replays one journal record during recovery (no journal attached).
     ///
     /// Records already covered by the image — epoch at or below the
     /// shard's current epoch, partitions that already exist — are skipped,
-    /// making replay idempotent. Every applied record must land exactly on
-    /// its recorded epoch; a mismatch means the journal does not describe
-    /// this store and recovery fails detectably.
+    /// making replay idempotent. Every other record runs its kind's live
+    /// commit path in replay mode (see [`BlockStore::commit`]).
     ///
     /// # Errors
     ///
     /// [`StoreError::Persist`] on any divergence between the record and
-    /// the store; the record's own replayed operation may also fail.
+    /// the store; the record's own validation may also refuse it.
     pub(crate) fn replay_record(&self, record: &JournalRecord) -> Result<(), StoreError> {
-        match record {
-            JournalRecord::CreatePartition { pid, config } => {
-                let existing = self.dir_read().shards.len() as u64;
-                if *pid < existing {
-                    return Ok(()); // already in the image
-                }
-                if *pid > existing {
-                    return Err(StoreError::Persist(format!(
-                        "journal creates partition {pid} but only {existing} exist"
-                    )));
-                }
-                let got = self.create_partition(*config)?;
-                if got.0 as u64 != *pid {
-                    return Err(StoreError::Persist(format!(
-                        "replayed partition creation produced pid {} instead of {pid}",
-                        got.0
-                    )));
-                }
-                Ok(())
+        let replay = Some(record);
+        let fresh = |pid: u64, epoch: u64| -> Result<bool, StoreError> {
+            Ok(epoch > self.shard_epoch(PartitionId(pid as usize))?)
+        };
+        match *record {
+            // Once the image holds the created log, its template is set.
+            JournalRecord::SetLogConfig { config } if self.dir_read().log_pid.is_none() => {
+                self.set_log_config(config, replay)?;
             }
-            JournalRecord::CreateLogPartition { pid, config } => {
-                if let Some(existing) = self.dir_read().log_pid {
-                    if existing as u64 != *pid {
-                        return Err(StoreError::Persist(format!(
-                            "journal places the log at pid {pid} but the image has it at {existing}"
-                        )));
-                    }
-                    return Ok(()); // already in the image
+            JournalRecord::CreatePartition { pid, config }
+                if pid >= self.dir_read().shards.len() as u64 =>
+            {
+                self.create_shard(Some(config), replay)?;
+            }
+            JournalRecord::CreateLogPartition { pid, .. } => match self.log_partition_id() {
+                None => {
+                    self.create_shard(None, replay)?;
                 }
-                {
-                    let mut dir = self.directory.write().expect("directory lock");
-                    dir.log_config = *config;
-                }
-                let got = self.ensure_log_partition()?;
-                if got as u64 != *pid {
+                Some(existing) if existing.0 as u64 != pid => {
                     return Err(StoreError::Persist(format!(
-                        "replayed log creation produced pid {got} instead of {pid}"
+                        "journal places the log at pid {pid} but the image has it at {}",
+                        existing.0
                     )));
                 }
-                Ok(())
-            }
+                Some(_) => {}
+            },
             JournalRecord::WriteFile {
                 pid,
                 first_block,
-                data,
+                ref data,
                 epoch,
-            } => {
-                let pid = PartitionId(*pid as usize);
-                if *epoch <= self.shard_epoch(pid)? {
-                    return Ok(()); // already in the image
-                }
-                self.write_file_at(pid, *first_block, data)?;
-                self.check_replay_epoch(pid, *epoch)
+            } if fresh(pid, epoch)? => {
+                self.write_at(PartitionId(pid as usize), first_block, data, replay)?;
             }
             JournalRecord::Update {
                 pid,
                 block,
-                content,
+                ref content,
                 epoch,
-            } => {
-                let pid = PartitionId(*pid as usize);
-                if *epoch <= self.shard_epoch(pid)? {
-                    return Ok(());
-                }
-                self.update_block(pid, *block, content)?;
-                self.check_replay_epoch(pid, *epoch)
+            } if fresh(pid, epoch)? => {
+                let new = Block::from_bytes(content)?;
+                self.update_at(PartitionId(pid as usize), block, &new, replay)?;
             }
-            JournalRecord::Compact { pid, epoch } => {
-                let pid = PartitionId(*pid as usize);
-                if *epoch <= self.shard_epoch(pid)? {
-                    return Ok(());
-                }
-                self.compact_partition(pid)?;
-                self.check_replay_epoch(pid, *epoch)
+            JournalRecord::Compact { pid, epoch } if fresh(pid, epoch)? => {
+                self.compact_at(Some(PartitionId(pid as usize)), replay)?;
             }
             JournalRecord::CompactLog { epoch } => {
                 let log_pid = self.log_partition_id().ok_or_else(|| {
@@ -957,35 +960,14 @@ impl BlockStore {
                         "journal compacts the log but no log partition exists".to_string(),
                     )
                 })?;
-                if *epoch <= self.shard_epoch(log_pid)? {
-                    return Ok(());
+                if fresh(log_pid.0 as u64, epoch)? {
+                    self.compact_at(None, replay)?;
                 }
-                self.compact_log()?;
-                self.check_replay_epoch(log_pid, *epoch)
             }
-            JournalRecord::SetLogConfig { config } => {
-                if self.dir_read().log_pid.is_some() {
-                    return Ok(()); // image already holds the created log
-                }
-                let mut dir = self.directory.write().expect("directory lock");
-                dir.log_config = *config;
-                Ok(())
-            }
+            _ => {} // already in the image
         }
+        Ok(())
     }
-
-    fn check_replay_epoch(&self, pid: PartitionId, expected: u64) -> Result<(), StoreError> {
-        let got = self.shard_epoch(pid)?;
-        if got == expected {
-            Ok(())
-        } else {
-            Err(StoreError::Persist(format!(
-                "replay left partition {} at epoch {got}, journal recorded {expected}",
-                pid.0
-            )))
-        }
-    }
-
     // ----- writes ----------------------------------------------------------
 
     /// Writes `data` as consecutive blocks starting at block 0, synthesizes
@@ -1002,45 +984,63 @@ impl BlockStore {
     /// Writes `data` as consecutive blocks starting at `first_block`.
     ///
     /// Held under the shard lock end to end: bulk loading is a setup-time
-    /// operation, and only this shard is blocked.
+    /// operation, and only this shard is blocked. A refused write records
+    /// nothing.
     ///
     /// # Errors
     ///
-    /// Propagates partition errors (range, double write).
+    /// Propagates partition errors (range, capacity, double write).
     pub fn write_file_at(
         &self,
         pid: PartitionId,
         first_block: u64,
         data: &[u8],
     ) -> Result<u64, StoreError> {
+        self.write_at(pid, first_block, data, None)
+    }
+
+    fn write_at(
+        &self,
+        pid: PartitionId,
+        first_block: u64,
+        data: &[u8],
+        replay: Option<&JournalRecord>,
+    ) -> Result<u64, StoreError> {
+        let ids = first_block..first_block + data.len().div_ceil(BLOCK_SIZE) as u64;
         let cell = self.shard_cell(pid.0)?;
         let mut shard = Self::lock_shard(&cell);
-        let blocks = data.chunks(BLOCK_SIZE).collect::<Vec<_>>();
-        let mut designs = Vec::new();
-        let partition = Arc::make_mut(&mut shard.partition);
-        let mut images = Vec::new();
-        for (i, chunk) in blocks.iter().enumerate() {
-            let block_id = first_block + i as u64;
-            let block = Block::from_bytes(chunk)?;
-            designs.extend(partition.encode_block(block_id, &block)?);
-            images.push((block_id, block));
-        }
-        for (block_id, block) in images {
-            shard.logical.insert(block_id, block);
-        }
-        let mut rng = shard.split_rng();
-        // lint: allow(wetlab-under-lock): bulk load is a documented setup-time exception — it holds only this shard end to end
-        let synthesized = self.instruments.twist.synthesize(&designs, &mut rng);
-        // lint: allow(wetlab-under-lock): commit-phase merge of already-synthesized molecules; no wetlab simulation runs here
-        Arc::make_mut(&mut shard.tube).mix_in(&synthesized, 1.0, 1.0);
-        shard.epoch += 1;
-        self.journal_append(JournalRecord::WriteFile {
-            pid: pid.0 as u64,
-            first_block,
-            data: data.to_vec(),
-            epoch: shard.epoch,
-        })?;
-        Ok(blocks.len() as u64)
+        self.commit(
+            &mut *shard,
+            replay,
+            |shard| {
+                for block in ids.clone() {
+                    shard.partition.check_block_write(block)?;
+                }
+                Ok(JournalRecord::WriteFile {
+                    pid: pid.0 as u64,
+                    first_block,
+                    data: data.to_vec(),
+                    epoch: shard.epoch + 1,
+                })
+            },
+            |shard| {
+                let partition = Arc::make_mut(&mut shard.partition);
+                let mut designs = Vec::new();
+                for (block_id, chunk) in ids.clone().zip(data.chunks(BLOCK_SIZE)) {
+                    let block = Block::from_bytes(chunk).expect("a chunk fits one block");
+                    partition.record_block_write(block_id);
+                    designs.extend(partition.encode_unit(block_id, VersionSlot(0), &block));
+                    shard.logical.insert(block_id, block);
+                }
+                let mut rng = shard.split_rng();
+                // lint: allow(wetlab-under-lock): bulk load is a documented setup-time exception — it holds only this shard end to end
+                let synthesized = self.instruments.twist.synthesize(&designs, &mut rng);
+                // lint: allow(wetlab-under-lock): commit-phase merge of already-synthesized molecules; no wetlab simulation runs here
+                Arc::make_mut(&mut shard.tube).mix_in(&synthesized, 1.0, 1.0);
+                shard.epoch += 1;
+                ids.end - ids.start
+            },
+        )
     }
 
     /// Updates a block to `new_content`: computes a §6.4 diff patch against
@@ -1079,148 +1079,134 @@ impl BlockStore {
         block: u64,
         new_content: &[u8],
     ) -> Result<CommittedUpdate, StoreError> {
-        let new = Block::from_bytes(new_content)?;
-        loop {
-            // Snapshot: shard state + the target block's current image.
-            let cell = self.shard_cell(pid.0)?;
-            let (snap, old) = {
-                let mut shard = Self::lock_shard(&cell);
-                let old = shard.logical.get(&block).cloned();
-                (
-                    ShardSnapshot {
-                        pid: pid.0,
-                        partition: Arc::clone(&shard.partition),
-                        tube: Arc::clone(&shard.tube),
-                        epoch: shard.epoch,
-                        rng: shard.split_rng(),
-                    },
-                    old,
-                )
-            };
-            let old = old.ok_or(StoreError::BlockNotWritten(block))?;
-            let patch = UpdatePatch::diff(&old, &new).ok_or_else(|| {
-                StoreError::InvalidPatch("change too large for one patch".to_string())
-            })?;
-            if snap.partition.config().layout == UpdateLayout::DedicatedLog {
-                match self.try_log_update(&cell, &snap, block, &new, &patch)? {
-                    Some(receipt) => return Ok(receipt),
-                    None => continue, // lost a race; retry from a fresh snapshot
-                }
-            }
-            // Plan + encode + synthesize against the snapshot, lock-free.
-            let mut rng = snap.rng;
-            let placement = snap.partition.plan_update(block)?;
-            let designs = snap.partition.encode_placement(&placement, &patch);
-            let (rewrites, cost) = self.instruments.synthesize_rewrites(&designs, &mut rng);
-            debug_assert!(cost >= 0.0);
-            // Validate and commit.
-            let mut shard = Self::lock_shard(&cell);
-            if shard.epoch != snap.epoch {
-                continue; // another writer committed; re-plan
-            }
-            Arc::make_mut(&mut shard.partition).commit_placement(block, &placement);
-            // §6.4.2: the patch lands at the data tube's own per-oligo
-            // concentration.
-            let dilution = self
-                .instruments
-                .rewrite_dilution(&shard.tube, &rewrites, &mut rng);
-            // lint: allow(wetlab-under-lock): commit-phase merge of pre-synthesized rewrites; synthesis ran lock-free above
-            Arc::make_mut(&mut shard.tube).mix_in(&rewrites, 1.0, dilution);
-            shard.logical.insert(block, new.clone());
-            shard.epoch += 1;
-            self.journal_append(JournalRecord::Update {
-                pid: pid.0 as u64,
-                block,
-                content: new.data.clone(),
-                epoch: shard.epoch,
-            })?;
-            return Ok(CommittedUpdate {
-                image: new,
-                epoch: shard.epoch,
-            });
-        }
+        self.update_at(pid, block, &Block::from_bytes(new_content)?, None)
     }
 
-    /// One attempt at a DedicatedLog-layout update: append a log entry for
-    /// `(pid, block)`. Returns `Ok(None)` when a concurrent commit
-    /// invalidated the snapshot (caller retries).
-    fn try_log_update(
+    /// One update on any layout: snapshot (every refusal is decided there,
+    /// before any RNG draw), lock-free encode + synthesis, then the commit.
+    /// A DedicatedLog update appends its patch at the shared log's head.
+    fn update_at(
         &self,
-        target_cell: &Arc<RankedMutex<PartitionShard>>,
-        target: &ShardSnapshot,
+        pid: PartitionId,
         block: u64,
         new: &Block,
-        patch: &UpdatePatch,
-    ) -> Result<Option<CommittedUpdate>, StoreError> {
-        let log_pid = self.ensure_log_partition()?;
-        let log_cell = self.shard_cell(log_pid)?;
-        // Snapshot the log shard: head/seq reservation candidates, the
-        // entry geometry, and a synthesis RNG stream.
-        let (log_partition, log_epoch, head, seq, mut rng) = {
-            let mut log = Self::lock_shard(&log_cell);
-            (
-                Arc::clone(&log.partition),
-                log.epoch,
-                log.log_head,
-                log.log_seq,
-                log.split_rng(),
-            )
-        };
-        let capacity = log_partition.num_leaves() - 1;
-        if head >= capacity {
-            return Err(StoreError::UpdateSlotsExhausted {
-                block,
-                layout: UpdateLayout::DedicatedLog,
-                chain_len: head as usize,
-                headroom: 0,
-            });
+        replay: Option<&JournalRecord>,
+    ) -> Result<CommittedUpdate, StoreError> {
+        let cell = self.shard_cell(pid.0)?;
+        let inst = &self.instruments;
+        loop {
+            // Resolve the log before any shard lock (the directory comes
+            // first in the lock order).
+            let log_cell = self.log_cell().map(|(_, cell)| cell);
+            let mut shard = Self::lock_shard(&cell);
+            let old = shard
+                .logical
+                .get(&block)
+                .ok_or(StoreError::BlockNotWritten(block))?;
+            let patch = UpdatePatch::diff(old, new).ok_or_else(|| {
+                StoreError::InvalidPatch("change too large for one patch".to_string())
+            })?;
+            let dl = shard.partition.config().layout == UpdateLayout::DedicatedLog;
+            if dl && log_cell.is_none() {
+                drop(shard);
+                self.create_shard(None, None)?; // first log update: create the log
+                continue;
+            }
+            let log_cell = log_cell.filter(|_| dl);
+            let mut log = log_cell.as_ref().map(Self::lock_shard);
+            let placement = match &log {
+                None => shard.partition.plan_update(block)?,
+                Some(log) if log.log_head < log.partition.num_leaves() - 1 => UpdatePlacement {
+                    leaf: log.log_head,
+                    slot: VersionSlot(0),
+                    pointers: Vec::new(),
+                },
+                Some(log) => {
+                    return Err(StoreError::UpdateSlotsExhausted {
+                        block,
+                        layout: UpdateLayout::DedicatedLog,
+                        chain_len: log.log_head as usize,
+                        headroom: 0,
+                    })
+                }
+            };
+            // The target's stream advances once per update on every layout;
+            // a log entry is synthesized from the log's own stream.
+            let snap = shard.snapshot_state(pid.0);
+            let log_epoch = log.as_ref().map(|log| log.epoch);
+            let log_snap = log
+                .as_mut()
+                .map(|log| (Arc::clone(&log.partition), log.log_seq, log.split_rng()));
+            drop(log);
+            drop(shard);
+            // Encode + synthesize with no locks held.
+            let (designs, mut rng) = match log_snap {
+                Some((log_partition, seq, rng)) => {
+                    let tag = u32::try_from(pid.0).expect("pid fits u32: enforced at creation");
+                    let entry = log_entry_block(tag, block, seq, &patch);
+                    let designs = log_partition.encode_unit(placement.leaf, placement.slot, &entry);
+                    (designs, rng)
+                }
+                None => (
+                    snap.partition.encode_placement(&placement, &patch),
+                    snap.rng,
+                ),
+            };
+            let (rewrites, _) = inst.synthesize_rewrites(&designs, &mut rng);
+            // Validate and commit, target shard first, log shard last (the
+            // global lock order); both stay locked until the commit applies.
+            let shard = Self::lock_shard(&cell);
+            let log = log_cell.as_ref().map(Self::lock_shard);
+            if shard.epoch != snap.epoch || log.as_ref().map(|log| log.epoch) != log_epoch {
+                continue; // another writer committed; re-plan
+            }
+            return self.commit(
+                &mut (shard, log),
+                replay,
+                |(shard, log)| {
+                    if let Some(log) = log {
+                        log.partition.check_block_write(placement.leaf)?;
+                    }
+                    Ok(JournalRecord::Update {
+                        pid: pid.0 as u64,
+                        block,
+                        content: new.data.clone(),
+                        epoch: shard.epoch + 1,
+                    })
+                },
+                |(shard, log)| {
+                    let shard = &mut **shard;
+                    // §6.4.2: the patch lands at the data tube's own
+                    // per-oligo concentration — a log entry too: the log
+                    // tube starts *empty*, and entries at raw concentration
+                    // would swamp every multiplexed round they ride in.
+                    let dilution = inst.rewrite_dilution(&shard.tube, &rewrites, &mut rng);
+                    let partition = Arc::make_mut(&mut shard.partition);
+                    let tube = match log {
+                        Some(log) => {
+                            Arc::make_mut(&mut log.partition).record_block_write(placement.leaf);
+                            log.log_head += 1;
+                            log.log_seq += 1;
+                            log.epoch += 1;
+                            partition.note_external_update(block);
+                            &mut log.tube
+                        }
+                        None => {
+                            partition.commit_placement(block, &placement);
+                            &mut shard.tube
+                        }
+                    };
+                    // lint: allow(wetlab-under-lock): commit-phase merge of pre-synthesized rewrites; synthesis ran lock-free above
+                    Arc::make_mut(tube).mix_in(&rewrites, 1.0, dilution);
+                    shard.logical.insert(block, new.clone());
+                    shard.epoch += 1;
+                    CommittedUpdate {
+                        image: new.clone(),
+                        epoch: shard.epoch,
+                    }
+                },
+            );
         }
-        // Encode + synthesize the entry with no locks held.
-        let target_tag =
-            u32::try_from(target.pid).expect("pid fits u32: enforced at partition creation");
-        let entry = log_entry_block(target_tag, block, seq, patch);
-        let designs = log_partition.encode_unit(head, VersionSlot(0), &entry);
-        let (rewrites, cost) = self.instruments.synthesize_rewrites(&designs, &mut rng);
-        debug_assert!(cost >= 0.0);
-        // Validate and commit, target shard first, log shard last (the
-        // global lock order: data shards before the log shard).
-        let mut shard = Self::lock_shard(target_cell);
-        if shard.epoch != target.epoch {
-            return Ok(None);
-        }
-        let mut log = Self::lock_shard(&log_cell);
-        if log.epoch != log_epoch {
-            return Ok(None);
-        }
-        // Epoch validated ⇒ head/seq unchanged ⇒ the reserved leaf is
-        // still free. Record first (the only fallible step), then mutate.
-        Arc::make_mut(&mut log.partition).record_block_write(head)?;
-        // §6.4.2 with a sharded rack: the log tube starts *empty*, so the
-        // dilution reference is the updated block's own data tube — the
-        // log must operate at the archive's per-oligo concentration, or
-        // its entries would swamp every multiplexed round they ride in.
-        let dilution = self
-            .instruments
-            .rewrite_dilution(&shard.tube, &rewrites, &mut rng);
-        // lint: allow(wetlab-under-lock): commit-phase merge of pre-synthesized log entry; synthesis ran lock-free above
-        Arc::make_mut(&mut log.tube).mix_in(&rewrites, 1.0, dilution);
-        log.log_head += 1;
-        log.log_seq += 1;
-        log.epoch += 1;
-        drop(log);
-        Arc::make_mut(&mut shard.partition).note_external_update(block);
-        shard.logical.insert(block, new.clone());
-        shard.epoch += 1;
-        self.journal_append(JournalRecord::Update {
-            pid: target.pid as u64,
-            block,
-            content: new.data.clone(),
-            epoch: shard.epoch,
-        })?;
-        Ok(Some(CommittedUpdate {
-            image: new.clone(),
-            epoch: shard.epoch,
-        }))
     }
 
     // ----- maintenance / compaction ----------------------------------------
@@ -1316,7 +1302,7 @@ impl BlockStore {
     /// A [`UpdateLayout::DedicatedLog`] partition keeps its patches in the
     /// shared log, whose entries cannot be retired per partition — so
     /// compacting one delegates to [`BlockStore::compact_log`], folding the
-    /// whole log.
+    /// whole log (decided, like a no-op, before any RNG draw).
     ///
     /// # Errors
     ///
@@ -1324,98 +1310,7 @@ impl BlockStore {
     /// image (impossible through the store's own write paths) surfaces as
     /// [`StoreError::BlockNotWritten`].
     pub fn compact_partition(&self, pid: PartitionId) -> Result<CompactionReport, StoreError> {
-        let cell = self.shard_cell(pid.0)?;
-        loop {
-            // Snapshot: metadata + the images of every updated block.
-            let (snap, images) = {
-                let mut shard = Self::lock_shard(&cell);
-                let images: BTreeMap<u64, Block> = shard
-                    .partition
-                    .updated_blocks()
-                    .iter()
-                    .filter_map(|&(b, _)| shard.logical.get(&b).map(|img| (b, img.clone())))
-                    .collect();
-                (
-                    ShardSnapshot {
-                        pid: pid.0,
-                        partition: Arc::clone(&shard.partition),
-                        tube: Arc::clone(&shard.tube),
-                        epoch: shard.epoch,
-                        rng: shard.split_rng(),
-                    },
-                    images,
-                )
-            };
-            let layout = snap.partition.config().layout;
-            if layout == UpdateLayout::DedicatedLog {
-                return self.compact_log();
-            }
-            let updated = snap.partition.updated_blocks();
-            if updated.is_empty() {
-                return Ok(CompactionReport::default());
-            }
-            // Stale units, counted from metadata before the reclaim: every
-            // patch, every chain pointer, and the superseded base unit of
-            // each rebased block. Re-encode every fresh base unit FIRST —
-            // the only fallible step — so an error leaves partition and
-            // tube untouched.
-            let mut units_reclaimed = 0u64;
-            let mut designs = Vec::new();
-            let mut rebased = Vec::new();
-            for &(block, writes) in &updated {
-                let pointers = match layout {
-                    UpdateLayout::Interleaved { .. } => snap.partition.chain_of(block).len() as u64,
-                    _ => 0,
-                };
-                units_reclaimed += u64::from(writes - 1) + pointers + 1;
-                let image = images
-                    .get(&block)
-                    .ok_or(StoreError::BlockNotWritten(block))?;
-                designs.extend(snap.partition.encode_unit(block, VersionSlot(0), image));
-                rebased.push((pid, block));
-            }
-            let mut rng = snap.rng;
-            let (rewrites, synthesis_cost) =
-                self.instruments.synthesize_rewrites(&designs, &mut rng);
-            // Validate and commit.
-            let mut shard = Self::lock_shard(&cell);
-            if shard.epoch != snap.epoch {
-                continue; // an update landed; fold it in on the next pass
-            }
-            let reclaimed = Arc::make_mut(&mut shard.partition).reclaim_updates();
-            let stale: BTreeSet<u64> = reclaimed
-                .rebased_blocks
-                .iter()
-                .map(|&(b, _)| b)
-                .chain(reclaimed.freed_leaves.iter().copied())
-                .collect();
-            let tag = shard.partition.config().partition_tag;
-            // Dilution reference is the tube *before* retirement: the
-            // rewrites must land at the archive's concentration even when
-            // every live species of this shard is about to be retired.
-            let dilution = self
-                .instruments
-                .rewrite_dilution(&shard.tube, &rewrites, &mut rng);
-            let tube = Arc::make_mut(&mut shard.tube);
-            let species_retired =
-                tube.retire_where(|t| t.partition == tag && stale.contains(&t.unit));
-            // lint: allow(wetlab-under-lock): commit-phase merge of pre-synthesized rewrites; synthesis ran lock-free above
-            tube.mix_in(&rewrites, 1.0, dilution);
-            shard.epoch += 1;
-            self.journal_append(JournalRecord::Compact {
-                pid: pid.0 as u64,
-                epoch: shard.epoch,
-            })?;
-            return Ok(CompactionReport {
-                partitions_compacted: 1,
-                blocks_rebased: reclaimed.rebased_blocks.len(),
-                units_reclaimed,
-                species_retired,
-                rewrites_synthesized: reclaimed.rebased_blocks.len() as u64,
-                synthesis_cost,
-                rebased,
-            });
-        }
+        self.compact_at(Some(pid), None)
     }
 
     /// Compacts the shared DedicatedLog partition: folds every logged patch
@@ -1425,11 +1320,13 @@ impl BlockStore {
     /// resets the log to empty. Reads of any DedicatedLog block afterwards
     /// skip the whole-log round entirely.
     ///
-    /// This is the one deliberately cross-shard operation: it locks every
+    /// This is the one deliberately cross-shard operation. Its re-encoding
+    /// and synthesis run lock-free against a snapshot, as for
+    /// [`BlockStore::compact_partition`]; its commit locks every
     /// DedicatedLog shard (ascending id) and then the log shard — the
-    /// documented global lock order — and holds them for the duration, so
-    /// the fold is atomic with respect to every reader and writer it
-    /// affects. Shards on other layouts are never touched.
+    /// documented global lock order — so the fold is atomic with respect
+    /// to every reader and writer it affects. Shards on other layouts are
+    /// never touched.
     ///
     /// No-op (empty report) when no log exists or it has no entries.
     ///
@@ -1437,84 +1334,169 @@ impl BlockStore {
     ///
     /// See [`BlockStore::compact_partition`].
     pub fn compact_log(&self) -> Result<CompactionReport, StoreError> {
-        let dir = self.dir_read();
-        let Some(log_pid) = dir.log_pid else {
-            return Ok(CompactionReport::default());
-        };
-        // Lock order: DedicatedLog data shards ascending, log shard last.
-        let mut guards: Vec<(usize, RankedMutexGuard<'_, PartitionShard>)> = Vec::new();
-        for (pid, cell) in dir.shards.iter().enumerate() {
-            if pid == log_pid {
-                continue;
+        self.compact_at(None, None)
+    }
+
+    /// One compaction: of partition `target`, or — for `None` — of the
+    /// shared log into every DedicatedLog shard.
+    fn compact_at(
+        &self,
+        target: Option<PartitionId>,
+        replay: Option<&JournalRecord>,
+    ) -> Result<CompactionReport, StoreError> {
+        let inst = &self.instruments;
+        loop {
+            let (cells, log_cell) = match target {
+                Some(pid) => (BTreeMap::from([(pid.0, self.shard_cell(pid.0)?)]), None),
+                None => {
+                    let dir = self.dir_read();
+                    let Some(log_pid) = dir.log_pid else {
+                        return idle_pass(replay);
+                    };
+                    let mut cells: BTreeMap<_, _> =
+                        dir.shards.iter().cloned().enumerate().collect();
+                    let log_cell = cells.remove(&log_pid);
+                    (cells, log_cell)
+                }
+            };
+            // Snapshot every updated block's image, shards ascending, the
+            // log last.
+            let mut guards: Vec<(usize, RankedMutexGuard<'_, PartitionShard>)> = Vec::new();
+            for (&pid, cell) in &cells {
+                let shard = Self::lock_shard(cell);
+                let dl = shard.partition.config().layout == UpdateLayout::DedicatedLog;
+                if target.is_some() && dl {
+                    drop(shard);
+                    return self.compact_at(None, replay);
+                }
+                if target.is_some() || dl {
+                    guards.push((pid, shard));
+                }
             }
-            let shard = cell.lock().expect("shard lock");
-            if shard.partition.config().layout == UpdateLayout::DedicatedLog {
-                guards.push((pid, shard));
+            let log = log_cell.as_ref().map(Self::lock_shard);
+            let log_epoch = log.as_ref().map(|log| log.epoch);
+            if log.as_ref().is_some_and(|log| log.log_head == 0) {
+                return idle_pass(replay);
             }
-        }
-        let mut log = dir.shards[log_pid].lock().expect("shard lock");
-        if log.log_head == 0 {
-            return Ok(CompactionReport::default());
-        }
-        let log_tag = log.partition.config().partition_tag;
-        let mut report = CompactionReport {
-            partitions_compacted: 1, // the log itself
-            units_reclaimed: log.log_head,
-            ..CompactionReport::default()
-        };
-        // Phase 1 — re-encode every fresh base unit first, the only
-        // fallible step, so an error leaves every shard untouched (no data
-        // is destroyed before its replacement exists).
-        let mut designs_per_shard: Vec<Vec<Molecule>> = Vec::with_capacity(guards.len());
-        for (pid, shard) in &guards {
-            let mut designs = Vec::new();
-            for (block, _) in shard.partition.updated_blocks() {
-                let image = shard
-                    .logical
-                    .get(&block)
-                    .ok_or(StoreError::BlockNotWritten(block))?;
-                designs.extend(shard.partition.encode_unit(block, VersionSlot(0), image));
-                report.rebased.push((PartitionId(*pid), block));
+            let mut snaps = Vec::new();
+            for (pid, shard) in &mut guards {
+                let updated = shard.partition.updated_blocks();
+                if updated.is_empty() {
+                    continue;
+                }
+                let images = updated
+                    .iter()
+                    .map(|&(b, _)| {
+                        let image = shard.logical.get(&b).cloned();
+                        image.ok_or(StoreError::BlockNotWritten(b))
+                    })
+                    .collect::<Result<Vec<Block>, _>>()?;
+                snaps.push((shard.snapshot_state(*pid), updated, images));
             }
-            designs_per_shard.push(designs);
-        }
-        // Phase 2 — infallible from here: fold bookkeeping, retire the
-        // superseded molecules from each shard's tube, and mix the fresh
-        // base units into their home tubes.
-        for ((_, shard), designs) in guards.iter_mut().zip(&designs_per_shard) {
-            let tag = shard.partition.config().partition_tag;
-            let reclaimed = Arc::make_mut(&mut shard.partition).reclaim_updates();
-            if reclaimed.rebased_blocks.is_empty() {
-                continue;
+            if target.is_some() && snaps.is_empty() {
+                return idle_pass(replay);
             }
-            report.partitions_compacted += 1;
-            let stale: BTreeSet<u64> = reclaimed.rebased_blocks.iter().map(|&(b, _)| b).collect();
-            let mut rng = shard.split_rng();
-            // lint: allow(wetlab-under-lock): compact_log is the one documented cross-shard exception — it deliberately holds every affected shard for an atomic fold
-            let (rewrites, cost) = self.instruments.synthesize_rewrites(designs, &mut rng);
-            // Dilution reference: this shard's tube before retirement.
-            let dilution = self
-                .instruments
-                .rewrite_dilution(&shard.tube, &rewrites, &mut rng);
-            let tube = Arc::make_mut(&mut shard.tube);
-            report.species_retired +=
-                tube.retire_where(|t| t.partition == tag && stale.contains(&t.unit));
-            report.units_reclaimed += stale.len() as u64; // superseded bases
-            report.blocks_rebased += reclaimed.rebased_blocks.len();
-            // lint: allow(wetlab-under-lock): atomic cross-shard fold (see above); merge of pre-synthesized molecules
-            tube.mix_in(&rewrites, 1.0, dilution);
-            report.synthesis_cost += cost;
-            shard.epoch += 1;
+            drop(log);
+            drop(guards);
+            // Stale units, counted from metadata before the reclaim: every
+            // in-partition patch, every chain pointer, and the superseded
+            // base unit of each rebased block (log entries are counted at
+            // the commit). Re-encode every fresh base unit and synthesize
+            // with no locks held, before anything is retired.
+            let mut units_reclaimed = 0u64;
+            let mut prepared = Vec::new();
+            for (snap, updated, images) in snaps {
+                let mut designs = Vec::new();
+                for (&(block, writes), image) in updated.iter().zip(&images) {
+                    units_reclaimed += 1 + match snap.partition.config().layout {
+                        UpdateLayout::DedicatedLog => 0,
+                        UpdateLayout::TwoStacks => u64::from(writes - 1),
+                        UpdateLayout::Interleaved { .. } => {
+                            u64::from(writes - 1) + snap.partition.chain_of(block).len() as u64
+                        }
+                    };
+                    designs.extend(snap.partition.encode_unit(block, VersionSlot(0), image));
+                }
+                let mut rng = snap.rng;
+                let (rewrites, cost) = inst.synthesize_rewrites(&designs, &mut rng);
+                prepared.push((snap.pid, snap.epoch, rewrites, cost, rng));
+            }
+            // Validate and commit: shards ascending, the log last.
+            let shards: Vec<_> = prepared
+                .iter()
+                .map(|p| Self::lock_shard(&cells[&p.0]))
+                .collect();
+            let log = log_cell.as_ref().map(Self::lock_shard);
+            let moved = shards.iter().zip(&prepared).any(|(s, p)| s.epoch != p.1);
+            if moved || log.as_ref().map(|log| log.epoch) != log_epoch {
+                continue; // an update landed; fold it in on the next pass
+            }
+            let mut locked = (shards, log);
+            return self.commit(
+                &mut locked,
+                replay,
+                |(shards, log)| {
+                    Ok(match (target, log) {
+                        (Some(pid), _) => JournalRecord::Compact {
+                            pid: pid.0 as u64,
+                            epoch: shards[0].epoch + 1,
+                        },
+                        (None, Some(log)) => JournalRecord::CompactLog {
+                            epoch: log.epoch + 1,
+                        },
+                        (None, None) => unreachable!("a log compaction holds the log"),
+                    })
+                },
+                |(shards, log)| {
+                    let mut report = CompactionReport {
+                        units_reclaimed,
+                        ..CompactionReport::default()
+                    };
+                    for (shard, (pid, _, rewrites, cost, rng)) in
+                        shards.iter_mut().zip(&mut prepared)
+                    {
+                        let reclaimed = Arc::make_mut(&mut shard.partition).reclaim_updates();
+                        let stale: BTreeSet<u64> = reclaimed
+                            .rebased_blocks
+                            .iter()
+                            .map(|&(b, _)| b)
+                            .chain(reclaimed.freed_leaves.iter().copied())
+                            .collect();
+                        let tag = shard.partition.config().partition_tag;
+                        // Dilution reference is the tube *before* retirement:
+                        // the rewrites must land at the archive's
+                        // concentration even when every live species of
+                        // this shard is about to be retired.
+                        let dilution = inst.rewrite_dilution(&shard.tube, rewrites, rng);
+                        let tube = Arc::make_mut(&mut shard.tube);
+                        report.species_retired +=
+                            tube.retire_where(|t| t.partition == tag && stale.contains(&t.unit));
+                        // lint: allow(wetlab-under-lock): commit-phase merge of pre-synthesized rewrites; synthesis ran lock-free above
+                        tube.mix_in(rewrites, 1.0, dilution);
+                        shard.epoch += 1;
+                        report.partitions_compacted += 1;
+                        report.blocks_rebased += reclaimed.rebased_blocks.len();
+                        report.synthesis_cost += *cost;
+                        let rebased = reclaimed.rebased_blocks.iter();
+                        let rebased = rebased.map(|&(b, _)| (PartitionId(*pid), b));
+                        report.rebased.extend(rebased);
+                    }
+                    if let Some(log) = log {
+                        let log_tag = log.partition.config().partition_tag;
+                        report.species_retired +=
+                            Arc::make_mut(&mut log.tube).retire_where(|t| t.partition == log_tag);
+                        Arc::make_mut(&mut log.partition).reclaim_all();
+                        report.partitions_compacted += 1; // the log itself
+                        report.units_reclaimed += log.log_head;
+                        log.log_head = 0;
+                        log.log_seq = 0;
+                        log.epoch += 1;
+                    }
+                    report.rewrites_synthesized = report.blocks_rebased as u64;
+                    report
+                },
+            );
         }
-        report.species_retired +=
-            Arc::make_mut(&mut log.tube).retire_where(|t| t.partition == log_tag);
-        Arc::make_mut(&mut log.partition).reclaim_all();
-        log.log_head = 0;
-        log.log_seq = 0;
-        log.epoch += 1;
-        self.journal_append(JournalRecord::CompactLog { epoch: log.epoch })?;
-        report.rewrites_synthesized = report.blocks_rebased as u64;
-        Ok(report)
     }
 
     // ----- sequential reads ------------------------------------------------
@@ -1667,6 +1649,19 @@ impl Instruments {
         } else {
             1.0
         }
+    }
+}
+
+/// A replayed record is not the commit the store derives for it.
+const REPLAY_DIVERGED: &str =
+    "replay diverged: a journal record does not match the commit it replays";
+
+/// A compaction with nothing to fold commits and journals nothing, so
+/// replaying a journaled one means replay diverged.
+fn idle_pass(replay: Option<&JournalRecord>) -> Result<CompactionReport, StoreError> {
+    match replay {
+        None => Ok(CompactionReport::default()),
+        Some(_) => Err(StoreError::Persist(REPLAY_DIVERGED.to_string())),
     }
 }
 
@@ -2523,6 +2518,44 @@ mod tests {
             assert_eq!(out.patches_applied, 0);
             assert_eq!(out.stats.pcr_rounds, 1);
         }
+    }
+
+    #[test]
+    fn refused_commits_leave_the_store_untouched() {
+        let store = BlockStore::new(3);
+        let pid = store
+            .create_partition(PartitionConfig::small(13, 2, UpdateLayout::paper_default()))
+            .unwrap();
+        let before = store.capture_image();
+        // 16 leaves, the top one reserved for overflow: 16 blocks cannot fit.
+        let oversized = crate::workload::deterministic_text(16 * BLOCK_SIZE, 7);
+        assert!(matches!(
+            store.write_file(pid, &oversized),
+            Err(StoreError::FileTooLarge {
+                needed: 16,
+                available: 15
+            })
+        ));
+        assert_eq!(store.capture_image(), before, "oversized write");
+        // Nothing was recorded, so a fitting write still lands at block 0.
+        let data = &oversized[..2 * BLOCK_SIZE];
+        assert_eq!(store.write_file(pid, data).unwrap(), 2);
+        let written = store.capture_image();
+        assert!(store.write_file_at(pid, 1, &data[..BLOCK_SIZE]).is_err());
+        assert_eq!(store.capture_image(), written, "double write");
+        assert!(matches!(
+            store.update_block(pid, 2, &data[..BLOCK_SIZE]),
+            Err(StoreError::BlockNotWritten(2))
+        ));
+        assert_eq!(
+            store.capture_image(),
+            written,
+            "update of an unwritten block"
+        );
+        assert_eq!(
+            store.read_range(pid, 0, 1).unwrap()[1].data,
+            &data[BLOCK_SIZE..]
+        );
     }
 
     #[test]

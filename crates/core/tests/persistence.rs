@@ -5,7 +5,8 @@
 //! 1. **Recovery equivalence** — a store reopened from its image + journal
 //!    is *byte-identical* to the one that wrote them: same logical images
 //!    (the §5.4 digital oracle), same tube contents, same epochs, same RNG
-//!    streams — on all three update layouts, with checkpoints landing at
+//!    streams — on all three update layouts, over every journal record
+//!    kind and around refused commits, with checkpoints landing at
 //!    arbitrary points in the history.
 //! 2. **Serving equivalence** — a [`StoreServer`] resumed on the recovered
 //!    store serves the exact oracle bytes, and the [`ServerStats`]
@@ -32,6 +33,7 @@ const LAYOUTS: [UpdateLayout; 3] = [
 ];
 
 const BLOCKS: u64 = 4;
+const PARTITIONS: usize = 2;
 
 /// A unique scratch directory per test case (removed on success; leftovers
 /// from failed runs land under the system temp dir).
@@ -53,24 +55,30 @@ fn layout_tag(layout: UpdateLayout) -> &'static str {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
-    /// Property 1 + 2: build a durable store, run a random update history
-    /// with a checkpoint landing at a random point, reopen — the recovered
-    /// store's captured image must equal the original's exactly (logical
-    /// oracle, tubes, epochs, RNG streams), and a resumed server must
-    /// serve the oracle bytes with clean stats.
+    /// Property 1 + 2: build a durable store with two partitions, run a
+    /// random history of every record kind — updates, compactions of one
+    /// partition and of the shared log — interleaved with commits the
+    /// store must refuse without a trace (an oversized write, a double
+    /// write, an update of an unwritten block), with a checkpoint landing
+    /// at a random point; reopen — the recovered store's captured image
+    /// must equal the original's exactly (logical oracle, tubes, epochs,
+    /// RNG streams), and a resumed server must serve the oracle bytes with
+    /// clean stats.
     #[test]
     fn recovered_store_is_byte_identical(
         seed in 0u64..1_000,
-        // (block, edit position, edit byte) — applied as updates.
+        // (op, partition, block, edit position, edit byte): ops 0..=3
+        // update, 4 compacts the partition, 5 compacts the shared log, and
+        // 6..=8 are refused commits.
         ops in prop::collection::vec(
-            (0u64..BLOCKS, 0usize..BLOCK_SIZE, any::<u8>()),
-            1..7,
+            (0u8..9, 0usize..PARTITIONS, 0u64..BLOCKS, 0usize..BLOCK_SIZE, any::<u8>()),
+            1..10,
         ),
-        checkpoint_at in 0usize..7,
+        checkpoint_at in 0usize..10,
     ) {
         for layout in LAYOUTS {
             let dir = scratch(layout_tag(layout));
-            let mut oracle;
+            let mut oracle = Vec::new();
             let original_image;
             {
                 let mut store = open_or_recover_store(&dir, seed).unwrap();
@@ -81,25 +89,60 @@ proptest! {
                         UpdateLayout::paper_default(),
                     ))
                     .unwrap();
-                let pid = store
-                    .create_partition(PartitionConfig::small(seed ^ 0x32, 3, layout))
-                    .unwrap();
-                oracle = dna_block_store::workload::deterministic_text(
-                    BLOCKS as usize * BLOCK_SIZE,
-                    seed ^ 0x33,
-                );
-                store.write_file(pid, &oracle).unwrap();
-                for (i, &(block, pos, byte)) in ops.iter().enumerate() {
+                for part in 0..PARTITIONS {
+                    let pid = store
+                        .create_partition(PartitionConfig::small(seed ^ 0x32 ^ part as u64, 3, layout))
+                        .unwrap();
+                    let data = dna_block_store::workload::deterministic_text(
+                        BLOCKS as usize * BLOCK_SIZE,
+                        seed ^ 0x33 ^ part as u64,
+                    );
+                    store.write_file(pid, &data).unwrap();
+                    oracle.push(data);
+                }
+                for (i, &(op, part, block, pos, byte)) in ops.iter().enumerate() {
                     if i == checkpoint_at {
                         // A snapshot mid-history: recovery must combine it
                         // with the journal suffix.
                         store.checkpoint().unwrap();
                     }
+                    let pid = PartitionId(part);
                     let off = block as usize * BLOCK_SIZE;
-                    oracle[off + pos] = byte;
-                    store
-                        .update_block(pid, block, &oracle[off..off + BLOCK_SIZE])
-                        .unwrap();
+                    match op {
+                        0..=3 => {
+                            oracle[part][off + pos] = byte;
+                            store
+                                .update_block(pid, block, &oracle[part][off..off + BLOCK_SIZE])
+                                .unwrap();
+                        }
+                        4 => {
+                            store.compact_partition(pid).unwrap();
+                        }
+                        5 => {
+                            store.compact_log().unwrap();
+                        }
+                        _ => {
+                            let before = store.capture_image();
+                            let refused = match op {
+                                // 64 leaves, the top one reserved for
+                                // overflow: blocks BLOCKS..BLOCKS + 64
+                                // cannot all fit.
+                                6 => store
+                                    .write_file_at(pid, BLOCKS, &vec![byte; 64 * BLOCK_SIZE])
+                                    .map(|_| ()),
+                                7 => store.write_file_at(pid, block, &[byte]).map(|_| ()),
+                                _ => store.update_block(pid, BLOCKS, &[byte; BLOCK_SIZE]),
+                            };
+                            prop_assert!(refused.is_err(), "{}: op {} must be refused", layout, op);
+                            prop_assert_eq!(
+                                store.capture_image(),
+                                before,
+                                "{}: refused op {} must leave no trace",
+                                layout,
+                                op
+                            );
+                        }
+                    }
                 }
                 original_image = store.capture_image();
             } // drop without a final checkpoint: reopen must replay the journal
@@ -118,17 +161,19 @@ proptest! {
             // A resumed server serves the oracle through the wetlab path.
             let server =
                 StoreServer::new(recovered, ServerConfig::paper_default());
-            let pid = PartitionId(0);
-            for b in 0..BLOCKS {
-                let off = b as usize * BLOCK_SIZE;
-                let out = server.read_block(pid, b).unwrap();
-                prop_assert_eq!(
-                    &out.block.data[..],
-                    &oracle[off..off + BLOCK_SIZE],
-                    "{}: recovered read of block {}",
-                    layout,
-                    b
-                );
+            for (part, data) in oracle.iter().enumerate() {
+                for b in 0..BLOCKS {
+                    let off = b as usize * BLOCK_SIZE;
+                    let out = server.read_block(PartitionId(part), b).unwrap();
+                    prop_assert_eq!(
+                        &out.block.data[..],
+                        &data[off..off + BLOCK_SIZE],
+                        "{}: recovered read of partition {} block {}",
+                        layout,
+                        part,
+                        b
+                    );
+                }
             }
             let stats = server.stats();
             prop_assert_eq!(stats.reads_served, stats.cache_hits + stats.cache_misses);

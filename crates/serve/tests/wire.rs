@@ -260,3 +260,34 @@ fn malformed_and_unknown_requests_answer_typed_errors() {
     assert!(stats["serve_protocol_errors"] >= 6);
     server.stop();
 }
+
+#[test]
+fn refused_oversized_put_leaves_the_partition_writable() {
+    let server = boot(ServeConfig::default());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let pid = client.create_partition(9).expect("create partition");
+
+    // 1024 blocks fit the body cap but not the partition: its top leaf is
+    // the first overflow leaf, so only 1023 are available.
+    let oversized = dna_block_store::workload::deterministic_text(1024 * BLOCK_SIZE, 0xD2);
+    match client.write_file(pid, &oversized) {
+        Err(CallError::Server {
+            status: 409,
+            message,
+        }) => assert!(message.contains("1023 available"), "{message}"),
+        other => panic!("expected 409, got {other:?}"),
+    }
+    // The refusal recorded nothing: a fitting file still lands at block 0
+    // and reads back through the wetlab.
+    let data = &oversized[..2 * BLOCK_SIZE];
+    assert_eq!(client.write_file(pid, data).expect("fitting write"), 2);
+    for b in 0..2 {
+        let (bytes, _) = client.read_block(pid, b as u64).expect("read back");
+        assert_eq!(
+            bytes,
+            &data[b * BLOCK_SIZE..(b + 1) * BLOCK_SIZE],
+            "block {b}"
+        );
+    }
+    server.stop();
+}
