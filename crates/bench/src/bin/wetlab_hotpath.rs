@@ -24,6 +24,11 @@
 //! 6. **Partition tube** — the PCR pair again, on a real paper partition's
 //!    tube, read with one block's elongated primer and with an 8-block
 //!    prefix cover: every strand carries the partition's primers.
+//! 7. **Sequencing channel** — `IdsChannel::corrupt`, whose per-base
+//!    insertion, deletion and substitution trials compare the raw draw
+//!    with thresholds fixed once per read, vs the three `gen_bool` calls
+//!    per base it replaced, written out below, over one range round's
+//!    reads.
 //!
 //! Every layer's fast path is asserted equal to its baseline *in this
 //! binary* before timing (the exhaustive oracle lives in
@@ -174,7 +179,9 @@ fn bench_binding_cache() -> Layer {
                     applies only the 8 amplified species of the 200, so well \
                     over half of the dense engine's work must disappear — 2x \
                     is conservative and fails if binding reuse or sparse \
-                    application falls back to the dense pattern",
+                    application falls back to the dense pattern. The dense \
+                    engine's species map shares the word-at-a-time DnaSeq \
+                    ordering, which took it from about 6.5x to about 3x here",
         counters: vec![
             ("species_scanned", delta.species_scanned),
             ("binding_cache_hits", delta.binding_cache_hits),
@@ -208,7 +215,9 @@ fn bench_sparse_amplify() -> Layer {
                     tube size; the dense engine pays O(species) per cycle \
                     for cloned contribution keys and whole-map application, \
                     so losing 2x here means the sparse bookkeeping is no \
-                    longer sparse",
+                    longer sparse. The word-at-a-time DnaSeq ordering the \
+                    dense engine's species map shares took this from about \
+                    12x to about 6x",
         counters: vec![],
     }
 }
@@ -741,17 +750,93 @@ fn bench_partition_tube() -> Layer {
                     aligns every species against every primer; the fast \
                     engine aligns each distinct (primer, site window) once \
                     per reaction (all strands share one 3' window, and \
-                    products collapse onto a few forward windows) and \
+                    products collapse onto a few forward windows), resolves \
+                    each species' yields once per reaction in a plan shared \
+                    by every species with the same binding sites, and \
                     applies only amplified species. 10x fails if the \
                     engine loses its sparse bookkeeping; per-species \
-                    alignment measured about 13x, so the exact alignment \
-                    count asserted beside this gate is what catches that \
-                    fallback",
+                    alignment measured about 13x on an earlier engine, so \
+                    the exact alignment count asserted beside this gate is \
+                    what catches that fallback. Species plans and the \
+                    word-at-a-time DnaSeq ordering both moved this ratio: \
+                    the fast engine's time fell to about 0.6x and the dense \
+                    engine's to about 0.5x",
         counters: vec![
             ("tube_species", tube.distinct() as u64),
             ("species_out", species_out),
             ("species_scanned", delta.species_scanned),
             ("binding_cache_hits", delta.binding_cache_hits),
+        ],
+    }
+}
+
+// ---------------------------------------------------------------------------
+// layer 7: sequencing error channel
+// ---------------------------------------------------------------------------
+
+/// `IdsChannel::corrupt` before its trials moved to integer thresholds:
+/// three `gen_bool` calls per base, each converting its draw to `f64`.
+fn reference_corrupt(channel: &IdsChannel, seq: &DnaSeq, rng: &mut DetRng) -> DnaSeq {
+    let mut out = DnaSeq::with_capacity(seq.len() + 4);
+    for b in seq.iter() {
+        if rng.gen_bool(channel.ins_rate) {
+            out.push(Base::from_code(rng.gen_range(4) as u8));
+        }
+        if rng.gen_bool(channel.del_rate) {
+            continue;
+        }
+        if rng.gen_bool(channel.sub_rate) {
+            let mut nb = Base::from_code(rng.gen_range(4) as u8);
+            if nb == b {
+                nb = Base::from_code((b.code() + 1) & 0b11);
+            }
+            out.push(nb);
+        } else {
+            out.push(b);
+        }
+    }
+    out
+}
+
+fn bench_sequencing_channel() -> Layer {
+    // The range round's 2880 reads, each passed through the Illumina
+    // channel once more: the per-read work of a sequencing run after its
+    // species draw.
+    let templates: Vec<DnaSeq> = range_round().reads.into_iter().map(|r| r.seq).collect();
+    let channel = IdsChannel::illumina();
+    let run = |corrupt: fn(&IdsChannel, &DnaSeq, &mut DetRng) -> DnaSeq| {
+        let mut rng = DetRng::seed_from_u64(11);
+        templates
+            .iter()
+            .map(|t| corrupt(&channel, t, &mut rng))
+            .collect::<Vec<_>>()
+    };
+    let reads = run(IdsChannel::corrupt);
+    assert_eq!(reads, run(reference_corrupt), "channel reads diverged");
+    let bases: usize = templates.iter().map(DnaSeq::len).sum();
+
+    let (baseline_ms, fast_ms) = time_ms(
+        5,
+        || run(reference_corrupt).len(),
+        || run(IdsChannel::corrupt).len(),
+    );
+    Layer {
+        name: "sequencing_channel",
+        baseline_ms,
+        fast_ms,
+        speedup: baseline_ms / fast_ms.max(1e-9),
+        gate: 1.2,
+        rationale: "2880 reads of about 170 bases through the Illumina \
+                    channel, three Bernoulli trials per base: the reference \
+                    turns each draw into an f64 and compares it with the \
+                    rate, the fast channel compares the raw draw with a \
+                    threshold fixed once per read, reading identically. Both \
+                    pay the same generator steps, so the gain is bounded; \
+                    it measured about 1.5x, and 1.2x fails if the per-base \
+                    trials go back to float conversions",
+        counters: vec![
+            ("reads", reads.len() as u64),
+            ("template_bases", bases as u64),
         ],
     }
 }
@@ -796,6 +881,7 @@ fn main() {
         bench_decode_filter(),
         bench_decode_cluster(),
         bench_partition_tube(),
+        bench_sequencing_channel(),
     ];
     for l in &layers {
         report::row(

@@ -13,6 +13,10 @@
 //!   rounds (1 + hops for Interleaved, 1 for TwoStacks, 2 for
 //!   DedicatedLog) and reads sequenced — the paper's sequential cost
 //!   model.
+//!
+//! A second scenario pins a known TwoStacks read failure: on a small
+//! partition, one update of block 0 makes reads of the unchanged block 2
+//! fail in two of three tries.
 
 use dna_block_store::{
     BatchPlanner, BatchStats, BlockStore, PartitionConfig, PartitionId, ReadProtocolStats,
@@ -205,3 +209,71 @@ const GOLDEN_CHAIN_BATCH_STATS: BatchStats = BatchStats {
 /// hops for Interleaved, one round for TwoStacks, data then log for
 /// DedicatedLog.
 const GOLDEN_SEQUENTIAL: [(usize, usize, usize); 3] = [(6, 3, 2160), (2, 1, 720), (2, 2, 1080)];
+
+/// Reads `block` once, checking decoded bytes against `oracle`.
+fn read_pinned(store: &BlockStore, pid: PartitionId, oracle: &[u8], block: u64) -> Pinned {
+    match store.read_block(pid, block) {
+        Ok(out) => {
+            assert_eq!(
+                out.block.data,
+                oracle_block(oracle, block),
+                "bytes of block {block}"
+            );
+            Ok((out.patches_applied, stats(out.stats)))
+        }
+        Err(e) => Err(format!("{e:?}")),
+    }
+}
+
+/// A depth-3 TwoStacks partition of 4 blocks. Block 2 reads back three
+/// times in a row; after one update of block 0 its reads fail in two of
+/// three tries, with "original version missing". The same history on
+/// Interleaved reads fine. The likely cause, not yet confirmed, is the
+/// one behind `GOLDEN_FULL_BATCH`'s failure: the read scope adds the
+/// update region's prefix cover, which in a depth-3 tree amplifies much
+/// of the partition, so block 2's original unit gets too few reads.
+#[test]
+fn two_stacks_reads_after_one_update_match_golden() {
+    let store = BlockStore::new(741);
+    let pid = store
+        .create_partition(PartitionConfig::small(
+            741 ^ 0x32,
+            3,
+            UpdateLayout::TwoStacks,
+        ))
+        .unwrap();
+    let mut oracle =
+        dna_block_store::workload::deterministic_text(BLOCKS as usize * BLOCK_SIZE, 741 ^ 0x33);
+    store.write_file(pid, &oracle).unwrap();
+    let before: Vec<Pinned> = (0..3)
+        .map(|_| read_pinned(&store, pid, &oracle, 2))
+        .collect();
+    oracle[220] = 40;
+    store.update_block(pid, 0, &oracle[..BLOCK_SIZE]).unwrap();
+    let after: Vec<Pinned> = (0..3)
+        .map(|_| read_pinned(&store, pid, &oracle, 2))
+        .collect();
+    assert_eq!(
+        (before, after),
+        (
+            golden(&GOLDEN_TWO_STACKS_BEFORE),
+            golden(&GOLDEN_TWO_STACKS_AFTER)
+        )
+    );
+}
+
+/// Block 2's three reads before the update of block 0.
+const GOLDEN_TWO_STACKS_BEFORE: [Result<(usize, [usize; 4]), &str>; 3] = [
+    Ok((0, [1, 180, 173, 15])),
+    Ok((0, [1, 180, 176, 15])),
+    Ok((0, [1, 180, 172, 15])),
+];
+
+/// Block 2's three reads after it: fail, succeed, fail. Each read now
+/// sequences the update region too (360 reads once it succeeds), yet
+/// block 2's original unit is not recovered in two of three.
+const GOLDEN_TWO_STACKS_AFTER: [Result<(usize, [usize; 4]), &str>; 3] = [
+    Err("DecodeFailed { block: 2, reason: \"original version missing\" }"),
+    Ok((0, [1, 360, 343, 30])),
+    Err("DecodeFailed { block: 2, reason: \"original version missing\" }"),
+];

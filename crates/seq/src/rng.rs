@@ -104,7 +104,9 @@ impl DetRng {
         DetRng { s }
     }
 
-    /// Produces the next 64-bit output (Xoshiro256\*\*).
+    /// Produces the next 64-bit output (Xoshiro256\*\*). Inlined across
+    /// crates, so a caller's loop of draws keeps the state in registers.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;

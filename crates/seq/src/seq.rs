@@ -2,6 +2,7 @@
 
 use crate::error::ParseDnaError;
 use crate::Base;
+use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Index, Range, RangeFrom, RangeTo};
 use std::str::FromStr;
@@ -28,7 +29,7 @@ use std::str::FromStr;
 /// assert_eq!(joined.to_string(), "ACGGT");
 /// assert_eq!(joined.gc_fraction(), 0.6);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct DnaSeq {
     bases: Vec<Base>,
 }
@@ -127,6 +128,25 @@ impl DnaSeq {
     pub fn prefix(&self, n: usize) -> DnaSeq {
         let n = n.min(self.len());
         self.subseq(0..n)
+    }
+
+    /// How `self` orders against the concatenation of `head` and `tail`,
+    /// without building it: `self.cmp(&head ++ tail)`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dna_seq::DnaSeq;
+    /// use std::cmp::Ordering;
+    ///
+    /// let s: DnaSeq = "ACGT".parse().unwrap();
+    /// let (head, tail): (DnaSeq, DnaSeq) = ("AC".parse().unwrap(), "GA".parse().unwrap());
+    /// assert_eq!(s.cmp_concat(head.as_slice(), tail.as_slice()), Ordering::Greater);
+    /// assert_eq!(s.cmp_concat(s.as_slice(), &[]), Ordering::Equal);
+    /// ```
+    pub fn cmp_concat(&self, head: &[Base], tail: &[Base]) -> Ordering {
+        let (h, t) = self.bases.split_at(self.len().min(head.len()));
+        cmp_bases(h, head).then_with(|| cmp_bases(t, tail))
     }
 
     /// Returns `true` if `self` begins with `prefix`.
@@ -256,6 +276,45 @@ impl DnaSeq {
         (from..=self.len() - needle.len())
             .find(|&i| self.bases[i..i + needle.len()] == needle.bases[..])
     }
+}
+
+/// The derived order of the base vector: base by base (`A < C < G < T`),
+/// and a sequence before every longer sequence it is a prefix of. Every
+/// `BTreeMap` of species and every sorted product search pays for this
+/// comparison, so it compares eight bases per step: a chunk's codes, packed
+/// one per byte into a big-endian `u64`, order as integers exactly as the
+/// chunk orders base by base.
+impl Ord for DnaSeq {
+    fn cmp(&self, other: &DnaSeq) -> Ordering {
+        cmp_bases(&self.bases, &other.bases)
+    }
+}
+
+impl PartialOrd for DnaSeq {
+    fn partial_cmp(&self, other: &DnaSeq) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The slice order of `a` and `b`, eight bases per step.
+fn cmp_bases(a: &[Base], b: &[Base]) -> Ordering {
+    let words = a.len().min(b.len()) / 8 * 8;
+    let (a_words, a_tail) = a.split_at(words);
+    let (b_words, b_tail) = b.split_at(words);
+    for (x, y) in a_words.chunks_exact(8).zip(b_words.chunks_exact(8)) {
+        let (x, y) = (pack8(x), pack8(y));
+        if x != y {
+            return x.cmp(&y);
+        }
+    }
+    a_tail.cmp(b_tail)
+}
+
+/// An eight-base chunk's codes as a big-endian word.
+#[inline]
+fn pack8(chunk: &[Base]) -> u64 {
+    let chunk: &[Base; 8] = chunk.try_into().expect("an eight-base chunk");
+    u64::from_be_bytes(chunk.map(Base::code))
 }
 
 impl fmt::Display for DnaSeq {

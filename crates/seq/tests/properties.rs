@@ -1,6 +1,7 @@
 //! Property-based tests for the foundational sequence types.
 
 use dna_seq::distance::{hamming, levenshtein, levenshtein_bounded, PrefixAligner};
+use dna_seq::rng::DetRng;
 use dna_seq::{Base, DnaSeq};
 use proptest::prelude::*;
 
@@ -71,7 +72,70 @@ fn assert_bounded_exact(a: &DnaSeq, b: &DnaSeq, bound: usize) -> Result<(), Test
     Ok(())
 }
 
+/// Asserts `DnaSeq`'s word-at-a-time order is the base-by-base slice
+/// order, in both argument orders.
+fn assert_order_is_slice_order(a: &DnaSeq, b: &DnaSeq) -> Result<(), TestCaseError> {
+    let want = a.as_slice().cmp(b.as_slice());
+    prop_assert_eq!(a.cmp(b), want, "{} vs {}", a, b);
+    prop_assert_eq!(b.cmp(a), want.reverse(), "{} vs {}", b, a);
+    prop_assert_eq!(a.partial_cmp(b), Some(want));
+    Ok(())
+}
+
+/// Pairs that agree on their first `p` bases, for every `p` in 0..=20 and
+/// 150..=170, so the first difference falls on, just before and just after
+/// each 8-base word boundary in reach. Past the shared prefix each
+/// sequence stops or goes on with any base and a random tail, which makes
+/// one a prefix of the other, both equal, or the two differ at `p`.
+#[test]
+fn seq_order_is_slice_order_at_every_offset_around_a_word() {
+    let mut rng = DetRng::seed_from_u64(0x0b5e);
+    let mut random =
+        |n: usize| DnaSeq::from_bases((0..n).map(|_| Base::from_code(rng.gen_range(4) as u8)));
+    let next = [
+        None,
+        Some(Base::A),
+        Some(Base::C),
+        Some(Base::G),
+        Some(Base::T),
+    ];
+    for p in (0..=20).chain(150..=170) {
+        let shared = random(p);
+        for x in next {
+            for y in next {
+                let mut a = shared.clone();
+                let mut b = shared.clone();
+                for (s, n) in [(&mut a, x), (&mut b, y)] {
+                    if let Some(base) = n {
+                        s.push(base);
+                        s.extend(random(p % 11).iter());
+                    }
+                }
+                assert_order_is_slice_order(&a, &b).unwrap();
+            }
+        }
+    }
+}
+
 proptest! {
+    #[test]
+    fn seq_order_is_slice_order(
+        shared in arb_seq(170),
+        a_tail in arb_seq(12),
+        b_tail in arb_seq(12),
+    ) {
+        let a = shared.concat(&a_tail);
+        let b = shared.concat(&b_tail);
+        assert_order_is_slice_order(&a, &b)?;
+        assert_order_is_slice_order(&a, &shared)?;
+        assert_order_is_slice_order(&a_tail, &b_tail)?;
+        // Against a concatenation it is never given whole, split anywhere.
+        for at in [0, shared.len() / 2, shared.len()] {
+            let (head, rest) = b.as_slice().split_at(at.min(b.len()));
+            prop_assert_eq!(a.cmp_concat(head, rest), a.cmp(&b), "{} vs {} split at {}", a, b, at);
+        }
+    }
+
     #[test]
     fn prefix_aligner_matches_levenshtein_on_random_text(
         pattern in arb_len_seq(1..=64),

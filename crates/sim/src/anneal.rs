@@ -48,7 +48,7 @@ pub struct AnnealModel {
 
 /// The geometry of one primer↔site binding: total edit distance plus the
 /// mismatches falling in the primer's 3'-terminal window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BindingSite {
     /// Edit distance between primer and the best-aligned site window.
     pub dist: usize,

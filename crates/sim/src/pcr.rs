@@ -17,13 +17,14 @@
 //!    condition rather than a special case.
 
 use crate::anneal::{AnnealModel, BindingSite};
-use crate::fastpath::AnnealTables;
+use crate::fastpath::{AnnealTables, MemoHasher};
 use crate::molecule::StrandTag;
 use crate::pool::{Pool, Species};
 use crate::stats;
-use dna_seq::DnaSeq;
+use dna_seq::{Base, DnaSeq};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::BuildHasherDefault;
 
 /// An empty product slot in [`MultiplexPcrReaction::run`].
 const NO_PRODUCT: u32 = u32::MAX;
@@ -174,8 +175,8 @@ pub struct PcrOutcome {
 
 /// Per-species cached binding geometry (multiplex form: one slot per
 /// flattened forward primer and one per channel's reverse primer). Used by
-/// the reference engine; the fast path keeps sparse per-species lists
-/// instead (see [`SpeciesBind`]).
+/// the reference engine; the fast path compiles a sparse plan per species
+/// instead (see [`Plans`]).
 struct BindingInfo {
     /// Binding geometry of each forward primer at this species' 5' site.
     fwd_site: Vec<Option<BindingSite>>,
@@ -184,27 +185,227 @@ struct BindingInfo {
     rev_site: Vec<Option<BindingSite>>,
 }
 
-/// Sparse binding lists for one species on the fast path: only the primers
-/// that actually bind, in ascending primer order (so iteration matches the
-/// reference engine's dense scan exactly).
-struct SpeciesBind {
-    /// `(flattened forward index, site)` for every binding forward primer.
-    fwd: Vec<(u32, BindingSite)>,
-    /// `(channel index, site)` for every binding reverse primer.
+/// [`Plans::plan_of`] of a species not yet compiled.
+const UNCOMPILED: u32 = u32::MAX;
+/// [`Plans::best_rev`] before a temperature is resolved.
+const UNRESOLVED: u32 = u32::MAX;
+/// [`Plans::best_rev`] when no reverse primer primes the plan's species.
+const NO_REVERSE: u32 = u32::MAX - 1;
+/// Separates the forward from the reverse sites in a [`Plans::by_sites`]
+/// key (no primer slot is this large).
+const SITES_SEPARATOR: (u32, BindingSite) = (
+    u32::MAX,
+    BindingSite {
+        dist: 0,
+        three_prime_dist: 0,
+    },
+);
+
+/// Where one plan sits in the [`Plans`] arenas.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    /// First forward edge, and their number.
+    start: u32,
+    len: u32,
+    /// First reverse site, and their number.
+    rev_start: u32,
+    rev_len: u32,
+}
+
+/// The fast path's species plans.
+///
+/// A species is compiled when it is first amplifiable, into its binding
+/// sites: which forward primers bind its 5' end and which reverse primers
+/// its 3' end, each with its geometry. Those are fixed for the reaction,
+/// and everything a cycle needs from them depends only on the
+/// temperature, so species with the same sites share one plan: per
+/// distinct temperature, the winning reverse channel and one per-copy
+/// yield per forward edge. A partition tube has a few dozen plans for
+/// thousands of species, so each (plan, temperature) is resolved once, and
+/// a cycle's scan reads rows that stay in cache.
+struct Plans {
+    /// Distinct temperatures of the protocol.
+    temps: usize,
+    /// Forward and reverse primer slots of the reaction.
+    nf: usize,
+    nr: usize,
+    /// Per species: its plan, or [`UNCOMPILED`].
+    plan_of: Vec<u32>,
+    /// Plans by their sites: forward `(slot, site)` pairs, then
+    /// [`SITES_SEPARATOR`], then reverse `(channel, site)` pairs.
+    by_sites: HashMap<Vec<(u32, BindingSite)>, u32, BuildHasherDefault<MemoHasher>>,
+    /// The key of the species being compiled (reused buffer).
+    sites: Vec<(u32, BindingSite)>,
+    /// Per plan.
+    heads: Vec<Head>,
+    /// `best_rev[p * temps + t]`: the channel whose reverse primer wins
+    /// plan `p`'s 3' site at distinct temperature `t` (ties → lowest
+    /// channel), [`NO_REVERSE`], or [`UNRESOLVED`].
+    best_rev: Vec<u32>,
+    /// `(flattened forward index, mispriming)` of every binding forward
+    /// primer, plan by plan, each in ascending primer order, so iteration
+    /// matches the reference engine's dense scan. A site at distance > 0
+    /// misprimes: its product carries the primer as its new prefix.
+    edges: Vec<(u32, bool)>,
+    /// The forward sites, parallel to `edges`.
+    edge_sites: Vec<BindingSite>,
+    /// `yields[start * temps + t * len + k]`: `p_fwd.min(p_rev)` of the
+    /// plan's forward edge `k` at distinct temperature `t`, or 0 where
+    /// `p_fwd <= 0` (the edge contributes nothing). A resolved yield is
+    /// never NaN, and it is 0 only in that case, because `p_rev > 0`.
+    yields: Vec<f64>,
+    /// `(channel index, site)` of every binding reverse primer, plan by
+    /// plan.
     rev: Vec<(u32, BindingSite)>,
 }
 
-impl SpeciesBind {
-    fn compute(tables: &mut AnnealTables<'_>, seq: &DnaSeq, nf: usize, nr: usize) -> SpeciesBind {
-        SpeciesBind {
-            fwd: (0..nf)
-                .filter_map(|fi| tables.site(fi, seq).map(|s| (fi as u32, s)))
-                .collect(),
-            rev: (0..nr)
-                .filter_map(|ri| tables.site(nf + ri, seq).map(|s| (ri as u32, s)))
-                .collect(),
+impl Plans {
+    fn new(species: usize, temps: usize, nf: usize, nr: usize) -> Plans {
+        Plans {
+            temps,
+            nf,
+            nr,
+            plan_of: vec![UNCOMPILED; species],
+            by_sites: HashMap::default(),
+            sites: Vec::new(),
+            heads: Vec::new(),
+            best_rev: Vec::new(),
+            edges: Vec::new(),
+            edge_sites: Vec::new(),
+            yields: Vec::new(),
+            rev: Vec::new(),
         }
     }
+
+    /// Room for one more species, not yet compiled.
+    fn push_species(&mut self) {
+        self.plan_of.push(UNCOMPILED);
+    }
+
+    /// The plan of species `i` (of `seqs`), compiled on first use.
+    #[inline]
+    fn plan(&mut self, i: usize, seqs: &[Cow<'_, DnaSeq>], tables: &mut AnnealTables<'_>) -> usize {
+        if self.plan_of[i] == UNCOMPILED {
+            self.plan_of[i] = self.compile(&seqs[i], tables);
+        }
+        self.plan_of[i] as usize
+    }
+
+    /// Looks up `seq`'s binding sites and returns the plan they map to,
+    /// adding it if no species compiled so far has the same sites.
+    fn compile(&mut self, seq: &DnaSeq, tables: &mut AnnealTables<'_>) -> u32 {
+        self.sites.clear();
+        for fi in 0..self.nf {
+            if let Some(site) = tables.site(fi, seq) {
+                self.sites.push((fi as u32, site));
+            }
+        }
+        let len = self.sites.len();
+        self.sites.push(SITES_SEPARATOR);
+        for ri in 0..self.nr {
+            if let Some(site) = tables.site(self.nf + ri, seq) {
+                self.sites.push((ri as u32, site));
+            }
+        }
+        if let Some(&p) = self.by_sites.get(self.sites.as_slice()) {
+            return p;
+        }
+        let p = self.heads.len() as u32;
+        self.heads.push(Head {
+            start: self.edges.len() as u32,
+            len: len as u32,
+            rev_start: self.rev.len() as u32,
+            rev_len: (self.sites.len() - len - 1) as u32,
+        });
+        for &(fi, site) in &self.sites[..len] {
+            self.edges.push((fi, site.dist != 0));
+            self.edge_sites.push(site);
+        }
+        self.rev.extend_from_slice(&self.sites[len + 1..]);
+        self.best_rev
+            .extend(std::iter::repeat_n(UNRESOLVED, self.temps));
+        self.yields
+            .extend(std::iter::repeat_n(0.0, len * self.temps));
+        self.by_sites.insert(self.sites.clone(), p);
+        p
+    }
+
+    /// The channel that primes plan `p`'s species at distinct temperature
+    /// `t`, resolved on first use.
+    #[inline]
+    fn reverse_at(&mut self, p: usize, t: usize, tables: &mut AnnealTables<'_>) -> Option<u32> {
+        let mut ri = self.best_rev[p * self.temps + t];
+        if ri == UNRESOLVED {
+            ri = self.resolve(p, t, tables);
+        }
+        (ri != NO_REVERSE).then_some(ri)
+    }
+
+    /// Resolves plan `p` at distinct temperature `t`. The probabilities
+    /// looked up are exactly those the dense scan evaluates for any of the
+    /// plan's species at `t`, so the model's work counters match it.
+    fn resolve(&mut self, p: usize, t: usize, tables: &mut AnnealTables<'_>) -> u32 {
+        let h = self.heads[p];
+        let mut best_rev: Option<(u32, f64)> = None;
+        for &(ri, site) in &self.rev[h.rev_start as usize..][..h.rev_len as usize] {
+            let p = tables.probability(self.nf + ri as usize, site, t);
+            if p > 0.0 && best_rev.is_none_or(|(_, bp)| p > bp) {
+                best_rev = Some((ri, p));
+            }
+        }
+        let ri = match best_rev {
+            None => NO_REVERSE,
+            Some((ri, p_rev)) => {
+                let (start, len) = (h.start as usize, h.len as usize);
+                let row = &mut self.yields[start * self.temps + t * len..][..len];
+                let edges = self.edges[start..start + len].iter();
+                for (y, (&(fi, _), &site)) in
+                    row.iter_mut().zip(edges.zip(&self.edge_sites[start..]))
+                {
+                    let p_fwd = tables.probability(fi as usize, site, t);
+                    if p_fwd <= 0.0 {
+                        continue;
+                    }
+                    // Per-cycle duplex yield is limited by the weaker
+                    // primer: each strand of the duplex is primed
+                    // independently, so overall efficiency tracks
+                    // min(p_fwd, p_rev), the standard per-cycle
+                    // efficiency model.
+                    *y = p_fwd.min(p_rev);
+                }
+                ri
+            }
+        };
+        self.best_rev[p * self.temps + t] = ri;
+        ri
+    }
+
+    /// Plan `p`'s forward edges with their yields at distinct temperature
+    /// `t` (resolved).
+    #[inline]
+    fn edges_at(&self, p: usize, t: usize) -> impl Iterator<Item = (&(u32, bool), &f64)> {
+        let Head { start, len, .. } = self.heads[p];
+        let (start, len) = (start as usize, len as usize);
+        self.edges[start..start + len]
+            .iter()
+            .zip(&self.yields[start * self.temps + t * len..][..len])
+    }
+}
+
+/// The first 64 bases of `head ++ tail`, two bits each, padded with A. A
+/// smaller key means a smaller sequence (the first base where two keys
+/// differ is a real base in the larger one, so either it is larger there
+/// or the smaller sequence ended there), so a search over species sorted
+/// by sequence compares keys and reads sequences only where keys tie.
+fn sort_key(head: &[Base], tail: &[Base]) -> u128 {
+    let head = &head[..head.len().min(64)];
+    let tail = &tail[..tail.len().min(64 - head.len())];
+    let key = head
+        .iter()
+        .chain(tail)
+        .fold(0u128, |key, b| key << 2 | u128::from(b.code()));
+    let pad = 2 * (64 - head.len() - tail.len()) as u32;
+    key.checked_shl(pad).unwrap_or(0)
 }
 
 impl PcrReaction {
@@ -262,13 +463,21 @@ impl MultiplexPcrReaction {
     /// tables built for this reaction alone (see `fastpath`): each
     /// primer's alignment runs once per distinct site window it reads, so
     /// strands sharing a partition's 3' site, or mispriming products
-    /// sharing a forward window, cost one alignment between them.
-    /// Input species are borrowed, not cloned; contributions reference
-    /// species by index; per-cycle updates touch only the amplified
-    /// species; and the output pool is built once, in order, from the
-    /// working state. Nothing persists between reactions, so the cost does
-    /// not depend on the calling thread. Results are bit-identical to
-    /// [`MultiplexPcrReaction::run_reference`] (pinned by
+    /// sharing a forward window, cost one alignment between them. Each
+    /// species is compiled once, when it is first amplifiable, into a plan
+    /// shared by every species with the same binding sites (see [`Plans`]):
+    /// per distinct temperature, the winning reverse primer and each
+    /// forward edge's per-copy yield `p_fwd.min(p_rev)`, so a cycle does
+    /// one multiply per edge. A mispriming product is looked up among the
+    /// sorted species by a packed key (see [`sort_key`]) without being
+    /// built, and built only when it is new. Input species are borrowed,
+    /// not cloned; contributions reference species by index and are
+    /// applied in place, in order; per-cycle updates touch only the
+    /// amplified species; and the output pool is built once, in order,
+    /// from the working state. Nothing persists between reactions, so the
+    /// cost does not depend on the calling thread. Every float operation
+    /// runs in the reference engine's order, so results are bit-identical
+    /// to [`MultiplexPcrReaction::run_reference`] (pinned by
     /// `tests/fastpath_equiv.rs`).
     pub fn run(&self, input: &Pool) -> MultiplexOutcome {
         let forwards: Vec<(usize, &PcrPrimer)> = self
@@ -303,7 +512,10 @@ impl MultiplexPcrReaction {
         }
         let mut present: Vec<bool> = vec![true; n0];
         let mut order: Vec<u32> = (0..n0 as u32).collect();
-        let mut bind: Vec<Option<SpeciesBind>> = (0..n0).map(|_| None).collect();
+        // Per species, its `sort_key`: built at the first product search,
+        // then kept in step with `seqs`.
+        let mut keys: Vec<u128> = Vec::new();
+        let mut plans = Plans::new(n0, tables.distinct_temps(), nf, nr);
         // Product slots, `nf` per species: `product[si * nf + fi]` is the
         // species index of forward primer `fi`'s mispriming product on
         // template `si`, or `NO_PRODUCT` until first made.
@@ -317,11 +529,13 @@ impl MultiplexPcrReaction {
 
         // Reused per-cycle buffers.
         let mut contributions: Vec<(u32, u32, u32, f64, bool)> = Vec::new();
-        let mut additions: Vec<(u32, f64, Option<StrandTag>)> = Vec::new();
         let mut fwd_demand = vec![0.0; nf];
         let mut rev_demand = vec![0.0; nr];
+        let mut fwd_factor = vec![0.0; nf];
+        let mut rev_factor = vec![0.0; nr];
 
         for cycle in 0..self.protocol.temps.len() {
+            let t = tables.temp_index(cycle);
             // Pass 1: desired contributions, touching only species with at
             // least one binding forward and reverse primer.
             contributions.clear();
@@ -329,58 +543,44 @@ impl MultiplexPcrReaction {
             rev_demand.fill(0.0);
             for &si in &order {
                 let i = si as usize;
-                if !present[i] || ab[i] <= 0.0 {
+                // An absent product's abundance is 0, so this also skips
+                // species not yet made.
+                if ab[i] <= 0.0 {
                     continue;
                 }
-                let b = bind[i]
-                    .get_or_insert_with(|| SpeciesBind::compute(&mut tables, &seqs[i], nf, nr));
-                // The template's 3' site goes to the best-binding reverse
-                // primer this cycle (ties → lowest channel, deterministic).
-                let mut best_rev: Option<(u32, f64)> = None;
-                for &(ri, site) in &b.rev {
-                    let p = tables.probability(nf + ri as usize, site, cycle);
-                    if p > 0.0 && best_rev.is_none_or(|(_, bp)| p > bp) {
-                        best_rev = Some((ri, p));
-                    }
-                }
-                let Some((ri, p_rev)) = best_rev else {
+                let p = plans.plan(i, &seqs, &mut tables);
+                let Some(ri) = plans.reverse_at(p, t, &mut tables) else {
                     continue;
                 };
-                for &(fi, site) in &b.fwd {
-                    let p_fwd = tables.probability(fi as usize, site, cycle);
-                    if p_fwd <= 0.0 {
+                for (&(fi, mispriming), &y) in plans.edges_at(p, t) {
+                    // A zero yield is an edge whose p_fwd <= 0 at `t`.
+                    if y == 0.0 {
                         continue;
                     }
-                    // Per-cycle duplex yield is limited by the weaker primer:
-                    // each strand of the duplex is primed independently, so
-                    // overall efficiency tracks min(p_fwd, p_rev), the
-                    // standard per-cycle efficiency model.
-                    let copies = ab[i] * p_fwd.min(p_rev);
+                    let copies = ab[i] * y;
                     if copies <= 0.0 {
                         continue;
                     }
                     fwd_demand[fi as usize] += copies;
                     rev_demand[ri as usize] += copies;
-                    // dist > 0 ⇒ index overwrite: the product carries the
-                    // primer as its new prefix (materialized in pass 2).
-                    contributions.push((si, fi, ri, copies, site.dist != 0));
+                    contributions.push((si, fi, ri, copies, mispriming));
                 }
             }
             if contributions.is_empty() {
                 continue;
             }
-            // Pass 2: scale by primer budgets and apply.
-            let rev_factor: Vec<f64> = rev_demand
-                .iter()
-                .zip(&rev_left)
-                .map(|(&d, &left)| if d > left { left / d } else { 1.0 })
-                .collect();
-            let fwd_factor: Vec<f64> = fwd_demand
-                .iter()
-                .zip(&fwd_left)
-                .map(|(&d, &left)| if d > left { left / d } else { 1.0 })
-                .collect();
-            additions.clear();
+            // Pass 2: scale by primer budgets and apply, in contribution
+            // order. Applying in place equals applying after the pass: a
+            // template is present from pass 1, so its tag is never
+            // rewritten here, and every abundance and presence changes
+            // only through this pass's additions, in the same order.
+            let factor = |(d, left): (&f64, &f64)| if d > left { left / d } else { 1.0 };
+            for (f, dl) in rev_factor.iter_mut().zip(rev_demand.iter().zip(&rev_left)) {
+                *f = factor(dl);
+            }
+            for (f, dl) in fwd_factor.iter_mut().zip(fwd_demand.iter().zip(&fwd_left)) {
+                *f = factor(dl);
+            }
             for &(si, fi, ri, copies, mispriming) in &contributions {
                 let actual = copies * fwd_factor[fi as usize].min(rev_factor[ri as usize]);
                 if actual <= 0.0 {
@@ -390,56 +590,63 @@ impl MultiplexPcrReaction {
                 fwd_left[fi as usize] -= actual;
                 rev_used[ri as usize] += actual;
                 rev_left[ri as usize] -= actual;
-                if !mispriming {
-                    // Faithful copy of an existing species.
-                    additions.push((si, actual, None));
-                    continue;
-                }
-                let slot = si as usize * nf + fi as usize;
-                let pi = match product[slot] {
-                    NO_PRODUCT => {
-                        let primer = &forwards[fi as usize].1.seq;
-                        let template: &DnaSeq = &seqs[si as usize];
-                        let mut ns = primer.clone();
-                        if primer.len() < template.len() {
-                            ns.extend_from_slice(&template.as_slice()[primer.len()..]);
+                let target = if mispriming {
+                    // Index overwrite: the product carries the primer as
+                    // its new prefix.
+                    let slot = si as usize * nf + fi as usize;
+                    if product[slot] == NO_PRODUCT {
+                        // The product is `primer + template[primer.len()..]`;
+                        // it is built only if no species equals it yet.
+                        let primer = forwards[fi as usize].1.seq.as_slice();
+                        let template = seqs[si as usize].as_slice();
+                        let tail = template.get(primer.len()..).unwrap_or_default();
+                        if keys.is_empty() {
+                            keys.extend(seqs.iter().map(|s| sort_key(s.as_slice(), &[])));
                         }
-                        let pi = match order.binary_search_by(|&j| (*seqs[j as usize]).cmp(&ns)) {
+                        let key = sort_key(primer, tail);
+                        let found = order.binary_search_by(|&j| {
+                            let j = j as usize;
+                            keys[j]
+                                .cmp(&key)
+                                .then_with(|| seqs[j].cmp_concat(primer, tail))
+                        });
+                        product[slot] = match found {
                             Ok(pos) => order[pos],
                             Err(pos) => {
+                                let mut ns = DnaSeq::with_capacity(primer.len() + tail.len());
+                                ns.extend_from_slice(primer);
+                                ns.extend_from_slice(tail);
                                 let idx = seqs.len() as u32;
                                 seqs.push(Cow::Owned(ns));
+                                keys.push(key);
                                 ab.push(0.0);
                                 tags.push(None);
                                 present.push(false);
-                                bind.push(None);
+                                plans.push_species();
                                 product.extend(std::iter::repeat_n(NO_PRODUCT, nf));
                                 order.insert(pos, idx);
                                 idx
                             }
                         };
-                        product[slot] = pi;
-                        pi
                     }
-                    pi => pi,
+                    product[slot] as usize
+                } else {
+                    // Faithful copy of an existing species.
+                    si as usize
                 };
-                let tag = tags[si as usize].map(|mut t| {
-                    t.prefix_overwritten = true;
-                    t
-                });
-                additions.push((pi, actual, tag));
-            }
-            for &(idx, actual, tag) in &additions {
-                let i = idx as usize;
-                if present[i] {
+                if present[target] {
                     // Merge keeps the existing tag, like `Pool::add`.
-                    ab[i] += actual;
+                    ab[target] += actual;
                 } else {
                     // Only a mispriming product can be absent: this is its
-                    // first addition, so it is a new species.
-                    present[i] = true;
-                    ab[i] = actual;
-                    tags[i] = tag;
+                    // first addition, so it is a new species, carrying its
+                    // template's tag.
+                    present[target] = true;
+                    ab[target] = actual;
+                    tags[target] = tags[si as usize].map(|mut t| {
+                        t.prefix_overwritten = true;
+                        t
+                    });
                     misprime_species += 1;
                 }
             }
@@ -647,7 +854,6 @@ impl MultiplexPcrReaction {
 mod tests {
     use super::*;
     use crate::molecule::StrandTag;
-    use dna_seq::Base;
 
     fn balanced(n: usize, phase: usize) -> DnaSeq {
         DnaSeq::from_bases((0..n).map(|i| Base::from_code(((i + phase) % 4) as u8)))

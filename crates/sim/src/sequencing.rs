@@ -62,16 +62,27 @@ impl IdsChannel {
     }
 
     /// Passes `seq` through the channel.
+    ///
+    /// Each base takes up to three Bernoulli trials (insertion, deletion,
+    /// substitution). They draw exactly as [`DetRng::gen_bool`] does, but
+    /// as integer comparisons against thresholds fixed once per read (see
+    /// [`Trial`]), so a read is identical, draw for draw. The read grows
+    /// as a plain vector, whose pushes inline into the loop.
     pub fn corrupt(&self, seq: &DnaSeq, rng: &mut DetRng) -> DnaSeq {
-        let mut out = DnaSeq::with_capacity(seq.len() + 4);
-        for b in seq.iter() {
-            if rng.gen_bool(self.ins_rate) {
+        let (ins, del, sub) = (
+            Trial::new(self.ins_rate),
+            Trial::new(self.del_rate),
+            Trial::new(self.sub_rate),
+        );
+        let mut out: Vec<Base> = Vec::with_capacity(seq.len() + 4);
+        for &b in seq.as_slice() {
+            if ins.draw(rng) {
                 out.push(Base::from_code(rng.gen_range(4) as u8));
             }
-            if rng.gen_bool(self.del_rate) {
+            if del.draw(rng) {
                 continue;
             }
-            if rng.gen_bool(self.sub_rate) {
+            if sub.draw(rng) {
                 let mut nb = Base::from_code(rng.gen_range(4) as u8);
                 if nb == b {
                     nb = Base::from_code((b.code() + 1) & 0b11);
@@ -81,7 +92,42 @@ impl IdsChannel {
                 out.push(b);
             }
         }
-        out
+        DnaSeq::from(out)
+    }
+}
+
+/// One Bernoulli trial of probability `p`, decided on the integer draw.
+///
+/// [`DetRng::gen_bool`] draws nothing for `p <= 0`, answers `true` for
+/// `p >= 1`, and otherwise compares `next_f64() = m · 2^-53` with `p`,
+/// where `m = next_u64() >> 11`. Scaling by `2^53` is exact, so for an
+/// integer `m`, `m · 2^-53 < p` holds exactly when `m < ceil(p · 2^53)`.
+/// A NaN `p` casts to threshold 0: one draw, always `false`, as there.
+#[derive(Debug, Clone, Copy)]
+enum Trial {
+    Never,
+    Always,
+    Below(u64),
+}
+
+impl Trial {
+    fn new(p: f64) -> Trial {
+        if p <= 0.0 {
+            Trial::Never
+        } else if p >= 1.0 {
+            Trial::Always
+        } else {
+            Trial::Below((p * (1u64 << 53) as f64).ceil() as u64)
+        }
+    }
+
+    #[inline]
+    fn draw(self, rng: &mut DetRng) -> bool {
+        match self {
+            Trial::Never => false,
+            Trial::Always => true,
+            Trial::Below(threshold) => rng.next_u64() >> 11 < threshold,
+        }
     }
 }
 
@@ -289,6 +335,39 @@ mod tests {
             (frac - 0.9).abs() < 0.02,
             "unit1 fraction {frac}, want ~0.9"
         );
+    }
+
+    #[test]
+    fn trials_draw_exactly_as_gen_bool() {
+        let probabilities = [
+            -1.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1e-300,
+            1e-9,
+            0.004,
+            0.25,
+            0.5,
+            1.0 - f64::EPSILON,
+            1.0,
+            2.0,
+            f64::NAN,
+        ];
+        for (i, p) in probabilities.into_iter().enumerate() {
+            let mut a = DetRng::seed_from_u64(i as u64);
+            let mut b = a.clone();
+            let trial = Trial::new(p);
+            for _ in 0..2000 {
+                assert_eq!(trial.draw(&mut a), b.gen_bool(p), "p = {p}");
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "p = {p} drew differently");
+        }
+        // The thresholds at the edges of one 2^-53 step: a draw `m` is
+        // below `p` exactly when `m < ceil(p * 2^53)`.
+        let step = 1.0 / (1u64 << 53) as f64;
+        assert!(matches!(Trial::new(step), Trial::Below(1)));
+        assert!(matches!(Trial::new(1.5 * step), Trial::Below(2)));
+        assert!(matches!(Trial::new(1.0 - step), Trial::Below(t) if t == (1 << 53) - 1));
     }
 
     #[test]

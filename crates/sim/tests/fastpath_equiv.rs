@@ -6,7 +6,9 @@
 //! — same species set, same f64 abundances (same accumulation order, so
 //! exact equality, not approximate), same consumed primer budgets, same
 //! misprime accounting. Likewise the sequencer's epoch-keyed scratch must
-//! never change a single read.
+//! never change a single read, and its IDS channel, which decides each
+//! per-base trial on an integer threshold, must draw exactly what the
+//! `gen_bool` loop it replaced drew.
 
 use dna_seq::rng::DetRng;
 use dna_seq::{Base, DnaSeq};
@@ -285,6 +287,74 @@ fn sequence_into_reusing_scratch_is_read_identical() {
         seq.sequence_into(&pool, batch, &mut rng, &mut scratch, &mut streamed);
     }
     assert_eq!(streamed, baseline);
+}
+
+/// `IdsChannel::corrupt` as it was before its trials moved to integer
+/// thresholds: three `gen_bool` calls per base.
+fn reference_corrupt(channel: &IdsChannel, seq: &DnaSeq, rng: &mut DetRng) -> DnaSeq {
+    let mut out = DnaSeq::with_capacity(seq.len() + 4);
+    for b in seq.iter() {
+        if rng.gen_bool(channel.ins_rate) {
+            out.push(Base::from_code(rng.gen_range(4) as u8));
+        }
+        if rng.gen_bool(channel.del_rate) {
+            continue;
+        }
+        if rng.gen_bool(channel.sub_rate) {
+            let mut nb = Base::from_code(rng.gen_range(4) as u8);
+            if nb == b {
+                nb = Base::from_code((b.code() + 1) & 0b11);
+            }
+            out.push(nb);
+        } else {
+            out.push(b);
+        }
+    }
+    out
+}
+
+#[test]
+fn ids_channel_draws_what_the_gen_bool_loop_drew() {
+    let rates = [0.0, 1.0, 1e-9, 0.5];
+    let mut channels = vec![
+        IdsChannel::illumina(),
+        IdsChannel::nanopore(),
+        IdsChannel::noiseless(),
+    ];
+    for &sub_rate in &rates {
+        for &ins_rate in &rates {
+            for &del_rate in &rates {
+                channels.push(IdsChannel {
+                    sub_rate,
+                    ins_rate,
+                    del_rate,
+                });
+            }
+        }
+    }
+    let mut templates = DetRng::seed_from_u64(0x1d5);
+    for (c, channel) in channels.iter().enumerate() {
+        for seed in 0..8u64 {
+            let len = templates.gen_range(200);
+            let template =
+                DnaSeq::from_bases((0..len).map(|_| Base::from_code(templates.gen_range(4) as u8)));
+            let mut fast = DetRng::seed_from_u64(seed ^ ((c as u64) << 8));
+            let mut reference = fast.clone();
+            for _ in 0..4 {
+                assert_eq!(
+                    channel.corrupt(&template, &mut fast),
+                    reference_corrupt(channel, &template, &mut reference),
+                    "{channel:?} seed {seed}"
+                );
+            }
+            // Same draws consumed, not just the same reads.
+            assert_eq!(
+                fast.next_u64(),
+                reference.next_u64(),
+                "{channel:?} seed {seed}"
+            );
+        }
+    }
 }
 
 proptest! {
