@@ -29,6 +29,11 @@
 //!    with thresholds fixed once per read, vs the three `gen_bool` calls
 //!    per base it replaced, written out below, over one range round's
 //!    reads.
+//! 8. **Decode route** — `ReadRouter::route` (one pass per read: a trie
+//!    walk of the round's prefixes on the transposed aligner, the reverse
+//!    site aligned once per four reads) vs the per-job `ReadFilter` scans
+//!    it replaced, each job's filter over every read, on the range round
+//!    of layer 4.
 //!
 //! Every layer's fast path is asserted equal to its baseline *in this
 //! binary* before timing (the exhaustive oracle lives in
@@ -41,7 +46,9 @@
 
 use dna_bench::report;
 use dna_block_store::{workload, BlockStore, PartitionConfig, BLOCK_SIZE};
-use dna_pipeline::{cluster_reads, BlockDecodeConfig, Cluster, ClusterConfig, ReadFilter};
+use dna_pipeline::{
+    cluster_reads, BlockDecodeConfig, Cluster, ClusterConfig, ReadFilter, ReadRouter,
+};
 use dna_seq::kmer::Kmer;
 use dna_seq::rng::DetRng;
 use dna_seq::{Base, DnaSeq};
@@ -842,6 +849,88 @@ fn bench_sequencing_channel() -> Layer {
 }
 
 // ---------------------------------------------------------------------------
+// layer 8: routing a round's reads to its decode jobs
+// ---------------------------------------------------------------------------
+
+/// Column steps the range round's trie walk takes per read: the 8
+/// prefixes share their 20-base main primer, and their random 11-base
+/// tails share 4 more trie nodes (20 + 8 · 11 − 4).
+const ROUTE_STEPS_PER_READ: usize = 104;
+
+fn bench_decode_route() -> Layer {
+    let RangeRound { reads, filters, .. } = range_round();
+    let router = ReadRouter::new(filters.clone());
+    let per_job = |filters: &[ReadFilter]| -> Vec<Vec<DnaSeq>> {
+        filters
+            .iter()
+            .map(|f| reads.iter().filter_map(|r| f.extract(&r.seq)).collect())
+            .collect()
+    };
+
+    // Oracle: every job receives the same interiors, in read order.
+    let routed = router.route(reads.iter().map(|r| &r.seq));
+    assert_eq!(
+        routed,
+        per_job(&filters),
+        "router diverged from the job filters"
+    );
+    let accepted: usize = routed.iter().map(Vec::len).sum();
+    assert_eq!(
+        accepted, 2850,
+        "the round's jobs accept a different read count"
+    );
+    assert_eq!(router.steps_per_read(), ROUTE_STEPS_PER_READ);
+
+    let (baseline_ms, fast_ms) = time_ms(
+        5,
+        || per_job(&filters),
+        || router.route(reads.iter().map(|r| &r.seq)),
+    );
+    // A one-job round: the router against the one filter pass it replaces.
+    let one = ReadRouter::new(filters[..1].to_vec());
+    let (one_filter_ms, one_route_ms) = time_ms(
+        10,
+        || per_job(&filters[..1]),
+        || one.route(reads.iter().map(|r| &r.seq)),
+    );
+    report::row(
+        "decode_route one-job round",
+        format!("{one_filter_ms:>8.3}ms filter | {one_route_ms:>8.3}ms route"),
+    );
+    Layer {
+        name: "decode_route",
+        baseline_ms,
+        fast_ms,
+        speedup: baseline_ms / fast_ms.max(1e-9),
+        gate: 2.5,
+        rationale: "the range round's 8 jobs over 2880 reads: each job's \
+                    filter aligns every read's head (up to 34 aligner steps \
+                    and a window pick, 8 times per read), while the router \
+                    steps the 104 trie nodes of the 8 prefixes once per \
+                    read, four reads side by side, rules most jobs out with \
+                    one bound per column, and aligns the shared reverse \
+                    site once per four reads. Both pay the same tail \
+                    check, reverse window and interior copy for each of \
+                    the 2850 accepted reads, which caps the ratio. It \
+                    measured 3.1-3.5x on a quiet host and down to 2.65x \
+                    while other tenants loaded it (the router is bound by \
+                    instruction throughput, the per-job scans by latency). \
+                    2.5x fails if the walk goes back to per-job scans \
+                    (about 1x) or to one read at a time (about 2x). A \
+                    one-job round routes in less time than one filter \
+                    pass (about 0.46 ms against 0.66 ms)",
+        counters: vec![
+            ("reads", reads.len() as u64),
+            ("accepted", accepted as u64),
+            (
+                "kernel_steps",
+                (reads.len() * router.steps_per_read()) as u64,
+            ),
+        ],
+    }
+}
+
+// ---------------------------------------------------------------------------
 // report + JSON
 // ---------------------------------------------------------------------------
 
@@ -882,6 +971,7 @@ fn main() {
         bench_decode_cluster(),
         bench_partition_tube(),
         bench_sequencing_channel(),
+        bench_decode_route(),
     ];
     for l in &layers {
         report::row(

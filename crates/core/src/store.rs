@@ -82,10 +82,7 @@ use crate::persist::{
 use crate::sync::{LockRank, RankedMutex, RankedMutexGuard, RankedRwLock, RankedRwLockReadGuard};
 use crate::update::UpdatePatch;
 use crate::StoreError;
-use dna_pipeline::{
-    decode_jobs_parallel_into, demux_reads, thread_share, BlockDecodeOutcome, ChannelPrimer,
-    DecodeJob,
-};
+use dna_pipeline::{decode_jobs_parallel_into, thread_share, BlockDecodeOutcome, DecodeJob};
 use dna_primers::{PrimerConstraints, PrimerLibrary, PrimerPair};
 use dna_seq::rng::DetRng;
 use dna_seq::{Base, DnaSeq};
@@ -95,7 +92,6 @@ use dna_sim::{
 };
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Handle to a partition within a [`BlockStore`].
@@ -2093,16 +2089,12 @@ fn plan_batch_round(
 
 // ----- the retrieval-round executor ----------------------------------------
 
-/// One channel of a planned round: the pair's main forward primer (its
-/// software demultiplex key), the weighted forward scope, the reverse
-/// primer, the encoding units it covers, and its slice of the round's
-/// decode jobs.
+/// One primer channel of a planned round: the weighted forward scope, the
+/// reverse primer and the encoding units it covers.
 struct ChannelSpec {
-    forward: DnaSeq,
     scope: Vec<(DnaSeq, f64)>,
     reverse: DnaSeq,
     units: usize,
-    jobs: Range<usize>,
 }
 
 /// One planned multiplex round: its channels and the leaves to decode from
@@ -2148,16 +2140,12 @@ impl RoundPlan {
         self.channel(&log.partition, scope, units);
     }
 
-    /// Closes a channel on `partition`'s primer pair over the jobs
-    /// scheduled since the previous channel.
+    /// Closes a channel on `partition`'s primer pair.
     fn channel(&mut self, partition: &Partition, scope: Vec<(DnaSeq, f64)>, units: usize) {
-        let start = self.channels.last().map_or(0, |c| c.jobs.end);
         self.channels.push(ChannelSpec {
-            forward: partition.primers().forward().clone(),
             scope,
             reverse: partition.primers().reverse().clone(),
             units,
-            jobs: start..self.jobs.len(),
         });
     }
 }
@@ -2184,8 +2172,8 @@ fn weighted_forward_primers(scope: &[(DnaSeq, f64)], budget: f64) -> Vec<PcrPrim
 /// The store's one retrieval engine: executes a planned round against
 /// snapshot tubes, lock-free. It pipettes undiluted aliquots of `tubes`
 /// into one reaction, runs one multiplex PCR, sequences the product once
-/// from `rng`, routes the reads to their channels and decodes every
-/// scheduled leaf on up to `decode_threads` threads.
+/// from `rng`, routes every read to the jobs that accept it in one pass
+/// and decodes every scheduled leaf on up to `decode_threads` threads.
 fn execute_round(
     instruments: &Instruments,
     tubes: &[Arc<Pool>],
@@ -2242,48 +2230,17 @@ fn execute_round(
         .sequencer
         .sequence(&amplified.pool, n_reads, rng);
 
-    // Software demultiplex (one routing pass over the round's reads per
-    // channel primer), then decode each channel's jobs against only its
-    // own bucket — the per-round routing that keeps a multi-shard round's
-    // decode cost linear instead of jobs × all-reads. A single-channel
-    // round skips the routing pass outright. Routing is a superset of
-    // every job's own prefix filter, so outcomes are bit-identical to the
-    // unrouted path.
+    // One routing pass hands every job, whatever its channel, exactly the
+    // interiors its own read filter would extract, so one-channel and
+    // multi-channel rounds decode alike.
     let mut outcomes = Vec::with_capacity(jobs.len());
-    if specs.len() <= 1 {
-        decode_jobs_parallel_into(
-            &reads,
-            &jobs,
-            unit_checksum_ok,
-            decode_threads,
-            &mut outcomes,
-        );
-    } else {
-        let routes: Vec<ChannelPrimer> = specs
-            .iter()
-            .map(|spec| {
-                // A channel's job range can be empty: the log channel
-                // dedups against jobs already registered by a data
-                // channel (a caller batch-reading the log partition's own
-                // leaves alongside a DedicatedLog partition). Its bucket
-                // is then simply never decoded — any tolerance works.
-                let tolerance = jobs
-                    .get(spec.jobs.start)
-                    .map_or(0, |job| job.config.filter_max_edit);
-                ChannelPrimer::new(&spec.forward, tolerance)
-            })
-            .collect();
-        let buckets = demux_reads(&reads, &routes);
-        for (spec, bucket) in specs.iter().zip(&buckets) {
-            decode_jobs_parallel_into(
-                bucket,
-                &jobs[spec.jobs.clone()],
-                unit_checksum_ok,
-                decode_threads,
-                &mut outcomes,
-            );
-        }
-    }
+    decode_jobs_parallel_into(
+        &reads,
+        &jobs,
+        unit_checksum_ok,
+        decode_threads,
+        &mut outcomes,
+    );
     RoundOutput {
         keys,
         outcomes,
@@ -3102,8 +3059,7 @@ mod tests {
         // leaves directly *alongside* a DedicatedLog data block. The
         // log-duty channel then dedups every log job against the data
         // channel that already registered them, leaving an empty job
-        // range — which must not panic the round (the demux key for an
-        // empty range is never used).
+        // range — which must not panic the round.
         let mut store = BlockStore::new(31);
         store
             .set_log_partition_config(PartitionConfig::small(

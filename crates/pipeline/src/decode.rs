@@ -136,7 +136,22 @@ pub fn decode_block_validated<B: Borrow<Read>>(
     config: &BlockDecodeConfig,
     validator: impl Fn(&[u8]) -> bool,
 ) -> BlockDecodeOutcome {
-    let filter = match config.index_tail_tolerance {
+    let filter = job_filter(elongated_prefix, rev_primer, config);
+    let interiors: Vec<DnaSeq> = reads
+        .iter()
+        .filter_map(|r| filter.extract(&r.borrow().seq))
+        .collect();
+    decode_interiors(&interiors, config, validator)
+}
+
+/// The read filter a block decode runs: `config`'s edit tolerance and,
+/// when configured, its strict check on the prefix's index tail.
+pub(crate) fn job_filter(
+    elongated_prefix: &DnaSeq,
+    rev_primer: &DnaSeq,
+    config: &BlockDecodeConfig,
+) -> ReadFilter {
+    match config.index_tail_tolerance {
         Some(tol) => ReadFilter::with_tail_check(
             elongated_prefix.clone(),
             rev_primer,
@@ -145,13 +160,19 @@ pub fn decode_block_validated<B: Borrow<Read>>(
             tol,
         ),
         None => ReadFilter::new(elongated_prefix.clone(), rev_primer, config.filter_max_edit),
-    };
-    let interiors: Vec<DnaSeq> = reads
-        .iter()
-        .filter_map(|r| filter.extract(&r.borrow().seq))
-        .collect();
+    }
+}
+
+/// Decodes one block from the interiors its read filter extracted, in
+/// read order: every step of [`decode_block_validated`] after the filter.
+/// `reads_matched` is `interiors.len()`.
+pub fn decode_interiors(
+    interiors: &[DnaSeq],
+    config: &BlockDecodeConfig,
+    validator: impl Fn(&[u8]) -> bool,
+) -> BlockDecodeOutcome {
     let reads_matched = interiors.len();
-    let clusters = cluster_reads(&interiors, &config.cluster);
+    let clusters = cluster_reads(interiors, &config.cluster);
     let clusters_total = clusters.len();
 
     // Reconstruct strands, largest clusters first, keeping the first
@@ -166,7 +187,7 @@ pub fn decode_block_validated<B: Borrow<Read>>(
         config.max_clusters.min(clusters.len())
     };
     for (ci, cluster) in clusters.iter().take(cap).enumerate() {
-        let Some(strand) = double_sided_bma(&cluster.sequences(&interiors), interior_len) else {
+        let Some(strand) = double_sided_bma(&cluster.sequences(interiors), interior_len) else {
             continue;
         };
         let version = strand[0];

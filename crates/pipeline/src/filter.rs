@@ -1,6 +1,12 @@
 //! Read filtering: locate primers, extract the interior (§8 step 1).
+//!
+//! [`ReadFilter`] is the definition of what one decode job accepts: its
+//! [`ReadFilter::extract`] runs the two primer searches on one read. A
+//! round's decode jobs do not call it per read; the router
+//! ([`crate::ReadRouter`]) answers every job's `extract` for a read in one
+//! pass, with this module's window tie-break and index-tail check.
 
-use dna_seq::distance::{levenshtein_bounded, PrefixAligner};
+use dna_seq::distance::{hamming_bounded, levenshtein_bounded, PrefixAligner};
 use dna_seq::{Base, DnaSeq};
 
 /// Extracts the interior of reads that carry the expected forward prefix and
@@ -14,15 +20,16 @@ use dna_seq::{Base, DnaSeq};
 /// costs one bit-parallel pass over the read's head or (reversed) tail.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadFilter {
-    fwd: DnaSeq,
+    pub(crate) fwd: DnaSeq,
     fwd_aligner: PrefixAligner,
-    /// Aligner for the reverse site read backwards, matched against the
-    /// read's tail read backwards (edit distance is unchanged when both
-    /// strings are reversed).
+    /// The reverse site read backwards, matched against the read's tail
+    /// read backwards (edit distance is unchanged when both strings are
+    /// reversed): the primer's complement.
+    pub(crate) rev_site: DnaSeq,
     rev_site_aligner: PrefixAligner,
-    max_edit: usize,
+    pub(crate) max_edit: usize,
     /// Optional `(len, tolerance)` strict check on the prefix tail.
-    tail_check: Option<(usize, usize)>,
+    pub(crate) tail_check: Option<(usize, usize)>,
 }
 
 impl ReadFilter {
@@ -44,6 +51,7 @@ impl ReadFilter {
             // The reverse site (the primer's reverse complement) read
             // backwards is the primer's complement.
             rev_site_aligner: PrefixAligner::new(rev_primer.complement().as_slice()),
+            rev_site: rev_primer.complement(),
             fwd,
             max_edit,
             tail_check: None,
@@ -88,25 +96,20 @@ impl ReadFilter {
             read.as_slice().iter().copied(),
             self.max_edit,
         )?;
-        if let Some((tail_len, tol)) = self.tail_check {
-            if !self.tail_matches(read, start, tail_len, tol) {
-                return None;
-            }
-        }
-        let end = read.len()
-            - best_window(
-                &self.rev_site_aligner,
-                read.as_slice().iter().rev().copied(),
-                self.max_edit,
-            )?;
-        if start >= end {
+        if !self.tail_matches(read, start) {
             return None;
         }
-        Some(read.subseq(start..end))
+        let rev_window = best_window(
+            &self.rev_site_aligner,
+            read.as_slice().iter().rev().copied(),
+            self.max_edit,
+        )?;
+        interior(read, start, rev_window)
     }
 
     /// Checks that the exact `tail_len`-base region of the read ending at
-    /// `prefix_end` matches the prefix's tail within `tol` edits.
+    /// `prefix_end` matches the prefix's tail within `tol` edits, where
+    /// `(tail_len, tol)` is the filter's tail check; true without one.
     ///
     /// The window is deliberately *fixed*: allowing window slack would let a
     /// sibling index at Hamming distance 2 re-align its final bases as a
@@ -114,33 +117,56 @@ impl ReadFilter {
     /// sacrifices a small fraction of true reads with indels near the index
     /// (they are merely dropped, not misassigned) in exchange for strict
     /// sibling discrimination.
-    fn tail_matches(&self, read: &DnaSeq, prefix_end: usize, tail_len: usize, tol: usize) -> bool {
+    pub(crate) fn tail_matches(&self, read: &DnaSeq, prefix_end: usize) -> bool {
+        let Some((tail_len, tol)) = self.tail_check else {
+            return true;
+        };
         if tail_len == 0 || tail_len > prefix_end {
             return false;
         }
         let expected = &self.fwd.as_slice()[self.fwd.len() - tail_len..];
         let window = &read.as_slice()[prefix_end - tail_len..prefix_end];
-        levenshtein_bounded(expected, window, tol).is_some()
+        // The two are equally long, so their edit distance is at most their
+        // Hamming distance, and a single edit between them can only be a
+        // substitution. Only a tolerance of 2 or more needs the alignment.
+        hamming_bounded(expected, window, tol).is_some()
+            || (tol >= 2 && levenshtein_bounded(expected, window, tol).is_some())
     }
 }
 
+/// The interior of `read` between a forward window of `start` bases and a
+/// reverse window of `rev_window` bases, if the two do not overlap.
+pub(crate) fn interior(read: &DnaSeq, start: usize, rev_window: usize) -> Option<DnaSeq> {
+    let end = read.len() - rev_window;
+    (start < end).then(|| read.subseq(start..end))
+}
+
 /// Length of the best window at the start of `text` for the aligner's
-/// primer: windows within `max_edit` of the primer length, scored by edit
-/// distance (at most `max_edit`), ties going to the length closest to the
-/// primer's and then to the shortest.
-pub(crate) fn best_window(
+/// primer: see [`pick_window`].
+fn best_window(
     aligner: &PrefixAligner,
     text: impl IntoIterator<Item = Base>,
     max_edit: usize,
 ) -> Option<usize> {
-    let n = aligner.len();
-    let mut best: Option<(usize, usize)> = None; // (dist, window)
-    for (w, d) in aligner.windows(text, max_edit) {
-        if d <= max_edit && best.is_none_or(|(bd, bw)| (d, w.abs_diff(n)) < (bd, bw.abs_diff(n))) {
-            best = Some((d, w));
-        }
-    }
-    best.map(|(_, w)| w)
+    pick_window(aligner.windows(text, max_edit), aligner.len(), max_edit)
+}
+
+/// The window primer matching picks from `(w, distance)` candidates for a
+/// primer of `n` bases: the smallest distance (at most `max_edit`), ties
+/// going to the length closest to `n` and then to the shorter.
+pub(crate) fn pick_window(
+    windows: impl IntoIterator<Item = (usize, usize)>,
+    n: usize,
+    max_edit: usize,
+) -> Option<usize> {
+    // One packed key per window, so the minimum needs no branch on the
+    // data: distance, then distance from `n`, then the longer side last.
+    let key = |(w, d): (usize, usize)| (d << 32) | (w.abs_diff(n) << 1) | usize::from(w > n);
+    windows
+        .into_iter()
+        .min_by_key(|&window| key(window))
+        .filter(|&(_, d)| d <= max_edit)
+        .map(|(w, _)| w)
 }
 
 #[cfg(test)]

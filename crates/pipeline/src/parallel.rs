@@ -1,15 +1,18 @@
-//! Parallel block decoding: fan the per-block cluster/BMA/RS pipeline out
-//! over OS threads.
+//! Parallel block decoding: route a round's reads to its decode jobs, then
+//! fan the per-block cluster/BMA/RS pipeline out over OS threads.
 //!
 //! A multiplexed retrieval round sequences *one* read pool containing many
 //! blocks' strands; demultiplexing happens in software by primer prefix
 //! (each [`DecodeJob`] carries its own elongated prefix and decode
-//! configuration). The jobs are independent pure functions over the shared
-//! read slice, so they parallelize embarrassingly well with
-//! `std::thread::scope` — no `unsafe`, no shared mutable state, and the
-//! output order is the input job order regardless of scheduling.
+//! configuration). One [`ReadRouter`] pass, split into contiguous read
+//! shares across the threads, hands every job the interiors its own
+//! filter would extract, then the jobs decode independently, so they
+//! parallelize embarrassingly well with `std::thread::scope` — no
+//! `unsafe`, no shared mutable state, and the output order is the input
+//! job order regardless of scheduling.
 
-use crate::decode::{decode_block_validated, BlockDecodeConfig, BlockDecodeOutcome};
+use crate::decode::{decode_interiors, job_filter, BlockDecodeConfig, BlockDecodeOutcome};
+use crate::route::ReadRouter;
 use dna_seq::DnaSeq;
 use dna_sim::Read;
 
@@ -24,6 +27,19 @@ pub struct DecodeJob {
     /// Decode configuration (geometry, RS dimensions, clustering, §8.1
     /// search budget).
     pub config: BlockDecodeConfig,
+}
+
+impl DecodeJob {
+    /// The router for `jobs`, one filter per job in job order: each
+    /// filter is the one [`crate::decode_block_validated`] runs for the
+    /// job.
+    pub(crate) fn router(jobs: &[DecodeJob]) -> ReadRouter {
+        ReadRouter::new(
+            jobs.iter()
+                .map(|j| job_filter(&j.prefix, &j.reverse, &j.config))
+                .collect(),
+        )
+    }
 }
 
 /// Fair per-consumer thread budget when `consumers` independent decode
@@ -42,8 +58,9 @@ pub fn thread_share(consumers: usize) -> usize {
 /// Decodes every job against the shared `reads`, fanning out over at most
 /// `max_threads` OS threads (clamped to the job count; `0` means "use
 /// [`std::thread::available_parallelism`]"), and *appends* the outcomes in
-/// job order to `out`. The outcomes are identical to running
-/// [`decode_block_validated`] sequentially per job.
+/// job order to `out`. One [`ReadRouter`] pass gives each job its
+/// interiors, so the outcomes are identical to running
+/// [`crate::decode_block_validated`] sequentially per job.
 ///
 /// `validator` is the unit-integrity check shared by all jobs (the block
 /// store passes its checksum test). Appending lets a multi-round batch
@@ -70,15 +87,13 @@ pub fn decode_jobs_parallel_into<B, F>(
     }
     .min(jobs.len())
     .max(1);
-    if threads == 1 || jobs.len() <= 1 {
-        out.extend(
-            jobs.iter().map(|j| {
-                decode_block_validated(reads, &j.prefix, &j.reverse, &j.config, &validator)
-            }),
-        );
+    let routed = route_parallel(&DecodeJob::router(jobs), reads, threads);
+    let decode = |i: usize| decode_interiors(&routed[i], &jobs[i].config, &validator);
+    if threads == 1 {
+        out.extend((0..jobs.len()).map(decode));
         return;
     }
-    let validator = &validator;
+    let decode = &decode;
     let mut results: Vec<Option<BlockDecodeOutcome>> = Vec::new();
     results.resize_with(jobs.len(), || None);
     std::thread::scope(|scope| {
@@ -86,16 +101,9 @@ pub fn decode_jobs_parallel_into<B, F>(
         for t in 0..threads {
             // Stripe the jobs: thread t takes indices t, t+threads, ...
             handles.push(scope.spawn(move || {
-                jobs.iter()
-                    .enumerate()
-                    .skip(t)
+                (t..jobs.len())
                     .step_by(threads)
-                    .map(|(i, j)| {
-                        let outcome = decode_block_validated(
-                            reads, &j.prefix, &j.reverse, &j.config, validator,
-                        );
-                        (i, outcome)
-                    })
+                    .map(|i| (i, decode(i)))
                     .collect::<Vec<_>>()
             }));
         }
@@ -112,9 +120,41 @@ pub fn decode_jobs_parallel_into<B, F>(
     );
 }
 
+/// Routes `reads` on up to `threads` threads, each taking a contiguous
+/// share; appending the shares in order keeps every job's interiors in
+/// read order.
+fn route_parallel<B>(router: &ReadRouter, reads: &[B], threads: usize) -> Vec<Vec<DnaSeq>>
+where
+    B: std::borrow::Borrow<Read> + Sync,
+{
+    let route = |share: &[B]| router.route(share.iter().map(|r| &r.borrow().seq));
+    if threads == 1 || reads.len() < 2 {
+        return route(reads);
+    }
+    let shares: Vec<Vec<Vec<DnaSeq>>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = reads
+            .chunks(reads.len().div_ceil(threads))
+            .map(|share| scope.spawn(move || route(share)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("routing worker panicked"))
+            .collect()
+    });
+    let mut shares = shares.into_iter();
+    let mut routed = shares.next().unwrap_or_default();
+    for share in shares {
+        for (job, interiors) in routed.iter_mut().zip(share) {
+            job.extend(interiors);
+        }
+    }
+    routed
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decode::decode_block_validated;
     use dna_codec::{intra, PayloadCodec, StrandGeometry};
     use dna_ecc::{EncodingUnit, UnitConfig};
     use dna_seq::rng::DetRng;
@@ -269,6 +309,37 @@ mod tests {
         decode_jobs_parallel_into(&reads, &jobs, |_| true, 0, &mut oneshot);
         for (a, b) in acc.iter().zip(&oneshot) {
             assert_eq!(a.versions, b.versions);
+        }
+    }
+
+    #[test]
+    fn parallel_routing_keeps_read_order() {
+        // Contiguous shares appended in order give every job the same
+        // interiors in the same order as one pass, for any thread count,
+        // with a read count no share size divides.
+        let mut pool = Pool::new();
+        let mut jobs = Vec::new();
+        for (u, index) in indexes().iter().enumerate() {
+            for s in encode_unit(&unit_bytes(u as u8), index, 5, u as u64) {
+                pool.add(s, 100.0, None);
+            }
+            jobs.push(DecodeJob {
+                prefix: prefix_for(index),
+                reverse: rev(),
+                config: BlockDecodeConfig::paper_default(5, u as u64),
+            });
+        }
+        let mut rng = DetRng::seed_from_u64(17);
+        let reads = Sequencer::new(IdsChannel::illumina()).sequence(&pool, 601, &mut rng);
+        let router = DecodeJob::router(&jobs);
+        let whole = router.route(reads.iter().map(|r| &r.seq));
+        assert!(whole.iter().all(|interiors| interiors.len() > 40));
+        for threads in 1..=5 {
+            assert_eq!(
+                route_parallel(&router, &reads, threads),
+                whole,
+                "{threads} threads"
+            );
         }
     }
 

@@ -1,20 +1,21 @@
 //! The bit-parallel primer search equals the per-window dynamic program it
 //! replaced.
 //!
-//! `ReadFilter::extract` and the demultiplexer's channel match run one
-//! `PrefixAligner` pass per primer. This suite keeps a test-only copy of
-//! the earlier window scan — one edit-distance computation per candidate
-//! window length, here on the unbanded `levenshtein` so the oracle shares
-//! no code with the kernel — and asserts identical extractions and
-//! routings on the reads that stress the tie-break: IDS-noisy reads,
-//! sibling indexes at Hamming distance 2, indels next to the index tail,
-//! reads shorter than the primer window, and empty reads.
+//! `ReadFilter::extract` runs one `PrefixAligner` pass per primer, and the
+//! round's `ReadRouter` runs the aligner transposed over a trie of its
+//! jobs' prefixes. This suite keeps a test-only copy of the earlier window
+//! scan — one edit-distance computation per candidate window length, here
+//! on the unbanded `levenshtein` so the oracle shares no code with the
+//! kernel — and asserts identical extractions and routings on the reads
+//! that stress the tie-break: IDS-noisy reads, sibling indexes at Hamming
+//! distance 2, indels next to the index tail, reads shorter than the
+//! primer window, and empty reads.
 
-use dna_pipeline::{demux_reads, ChannelPrimer, ReadFilter};
+use dna_pipeline::{ReadFilter, ReadRouter};
 use dna_seq::distance::levenshtein;
 use dna_seq::rng::DetRng;
 use dna_seq::{Base, DnaSeq};
-use dna_sim::{IdsChannel, Read};
+use dna_sim::IdsChannel;
 use proptest::prelude::*;
 
 /// `levenshtein(a, b)` when it is at most `bound`.
@@ -85,7 +86,6 @@ fn random_seq(len: usize, rng: &mut DetRng) -> DnaSeq {
 /// A paper-shaped elongated prefix: a 20-base main primer, the sparse
 /// base, and a 10-base index.
 struct Strand {
-    main: DnaSeq,
     fwd: DnaSeq,
     rev: DnaSeq,
     interior: DnaSeq,
@@ -93,10 +93,8 @@ struct Strand {
 
 impl Strand {
     fn random(rng: &mut DetRng) -> Strand {
-        let main = random_seq(20, rng);
-        let fwd = main.concat(&random_seq(11, rng));
+        let fwd = random_seq(20, rng).concat(&random_seq(11, rng));
         Strand {
-            main,
             fwd,
             rev: random_seq(20, rng),
             interior: random_seq(100, rng),
@@ -159,48 +157,67 @@ fn stress_reads(s: &Strand, rng: &mut DetRng) -> Vec<DnaSeq> {
     reads
 }
 
+/// Every tolerance and tail check the suite covers, as
+/// `(max_edit, tail_check)`.
+fn filter_settings() -> Vec<(usize, Option<(usize, usize)>)> {
+    (0..=4)
+        .flat_map(|max_edit| {
+            [None, Some((10, 0)), Some((10, 1)), Some((11, 2))]
+                .map(|tail_check| (max_edit, tail_check))
+        })
+        .collect()
+}
+
+fn filter(s: &Strand, max_edit: usize, tail_check: Option<(usize, usize)>) -> ReadFilter {
+    match tail_check {
+        None => ReadFilter::new(s.fwd.clone(), &s.rev, max_edit),
+        Some((len, tol)) => ReadFilter::with_tail_check(s.fwd.clone(), &s.rev, max_edit, len, tol),
+    }
+}
+
 fn assert_filters_agree(s: &Strand, reads: &[DnaSeq]) -> Result<(), TestCaseError> {
-    for max_edit in 0..=4 {
-        for tail_check in [None, Some((10, 0)), Some((10, 1)), Some((11, 2))] {
-            let filter = match tail_check {
-                None => ReadFilter::new(s.fwd.clone(), &s.rev, max_edit),
-                Some((len, tol)) => {
-                    ReadFilter::with_tail_check(s.fwd.clone(), &s.rev, max_edit, len, tol)
-                }
-            };
-            for read in reads {
-                prop_assert_eq!(
-                    filter.extract(read),
-                    reference_extract(&s.fwd, &s.rev, max_edit, tail_check, read),
-                    "max_edit {} tail {:?} read {}",
-                    max_edit,
-                    tail_check,
-                    read
-                );
-            }
+    for (max_edit, tail_check) in filter_settings() {
+        let filter = filter(s, max_edit, tail_check);
+        for read in reads {
+            prop_assert_eq!(
+                filter.extract(read),
+                reference_extract(&s.fwd, &s.rev, max_edit, tail_check, read),
+                "max_edit {} tail {:?} read {}",
+                max_edit,
+                tail_check,
+                read
+            );
         }
     }
     Ok(())
 }
 
+/// One router over a job per filter setting — 20 jobs on one prefix and
+/// one reverse site, so the trie walk shares every base and the reverse
+/// scan serves the widest tolerance — routes each job exactly the reads
+/// its reference scan accepts, in read order.
 fn assert_routing_agrees(s: &Strand, reads: &[DnaSeq]) -> Result<(), TestCaseError> {
-    let wrapped: Vec<Read> = reads
-        .iter()
-        .map(|seq| Read {
-            seq: seq.clone(),
-            truth: None,
-        })
-        .collect();
-    for tolerance in 0..=4 {
-        let buckets = demux_reads(&wrapped, &[ChannelPrimer::new(&s.main, tolerance)]);
-        let expected: Vec<&DnaSeq> = reads
+    let settings = filter_settings();
+    let router = ReadRouter::new(
+        settings
             .iter()
-            .filter(|r| {
-                reference_window(s.main.as_slice(), r.as_slice(), tolerance, false).is_some()
-            })
+            .map(|&(max_edit, tail_check)| filter(s, max_edit, tail_check))
+            .collect(),
+    );
+    prop_assert_eq!(router.steps_per_read(), s.fwd.len());
+    let routed = router.route(reads);
+    for (&(max_edit, tail_check), interiors) in settings.iter().zip(&routed) {
+        let expected: Vec<DnaSeq> = reads
+            .iter()
+            .filter_map(|r| reference_extract(&s.fwd, &s.rev, max_edit, tail_check, r))
             .collect();
-        let routed: Vec<&DnaSeq> = buckets[0].iter().map(|r| &r.seq).collect();
-        prop_assert_eq!(routed, expected, "tolerance {}", tolerance);
+        prop_assert_eq!(
+            interiors,
+            &expected,
+            "max_edit {} tail {:?}",
+            max_edit,
+            tail_check
+        );
     }
     Ok(())
 }
@@ -233,7 +250,6 @@ fn ties_between_windows_resolve_as_before() {
     let fwd = main.concat(&"CAAAAAAAAAA".parse().unwrap());
     let rev: DnaSeq = "TTTTTTTTTTGCATGCATGC".parse().unwrap();
     let strand = Strand {
-        main,
         fwd: fwd.clone(),
         rev: rev.clone(),
         interior: "AAAAAAAAAACCCCCCCCCC".parse().unwrap(),

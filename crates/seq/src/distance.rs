@@ -192,9 +192,10 @@ fn banded_levenshtein(a: &[Base], b: &[Base], k: usize) -> Option<usize> {
 /// the global-start form of the algorithm (G. Myers, JACM 1999; H. Hyyrö's
 /// formulation): row 0 of the dynamic program is `D(0, j) = j`, which
 /// enters as a horizontal +1 carried into the pattern's first bit at each
-/// column. The window scans of the decode-time read filter, the
-/// per-round demultiplexer and the simulator's annealing model all run on
-/// it.
+/// column. The window scans of the decode-time read filter and the
+/// simulator's annealing model run on it. The per-round read router runs
+/// the same step transposed, on a [`LaneAligner`]: there the patterns are
+/// reads' heads and the text is each decode job's prefix.
 ///
 /// # Examples
 ///
@@ -287,6 +288,194 @@ impl PrefixAligner {
     }
 }
 
+/// One column of a pattern's dynamic program (one lane of a [`Lanes`]):
+/// the edit distance from every prefix of the pattern to the text consumed
+/// so far, held as the column's vertical +1 / −1 deltas.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Column {
+    pv: u64,
+    mv: u64,
+    /// Text bases consumed: the distance at row 0.
+    consumed: usize,
+}
+
+impl Column {
+    /// `levenshtein(&pattern[..row], text)`, where `text` is the bases
+    /// stepped in so far. `row` must not exceed the pattern length.
+    #[inline]
+    pub fn distance(&self, row: usize) -> usize {
+        let mask = low_bits(row);
+        self.consumed + (self.pv & mask).count_ones() as usize
+            - (self.mv & mask).count_ones() as usize
+    }
+
+    /// A lower bound on [`Column::distance`] over the rows `lo..=hi`
+    /// (`lo ≤ hi`): the distance at `lo` less the −1 deltas between `lo`
+    /// and `hi`. A caller looking for a row within some tolerance can rule
+    /// the whole range out with it before visiting any row.
+    #[inline]
+    pub fn lower_bound(&self, lo: usize, hi: usize) -> usize {
+        debug_assert!(lo <= hi);
+        // The +1 deltas below `lo`, less every −1 delta below `hi`.
+        (self.consumed + (self.pv & low_bits(lo)).count_ones() as usize)
+            .saturating_sub((self.mv & low_bits(hi)).count_ones() as usize)
+    }
+
+    /// `(row, self.distance(row))` for every row in `lo..=hi`: one
+    /// [`Column::distance`], then one vertical delta per row.
+    #[inline]
+    pub fn rows(&self, lo: usize, hi: usize) -> impl Iterator<Item = (usize, usize)> + use<> {
+        let (pv, mv) = (self.pv, self.mv);
+        let mut d = self.distance(lo);
+        (lo..=hi).map(move |row| {
+            if row > lo {
+                // Row `row - 1`'s delta leads into `row`.
+                let bit = row - 1;
+                d = d + ((pv >> bit) & 1) as usize - ((mv >> bit) & 1) as usize;
+            }
+            (row, d)
+        })
+    }
+}
+
+/// [`PrefixAligner`]s for `L` patterns stepped through one text in lock
+/// step, one [`Lanes`] column per text base.
+///
+/// The lanes are independent, so a step is `L` copies of the same word
+/// operations on `[u64; L]` arrays, which the compiler turns into vector
+/// instructions, and whose latencies overlap where it cannot. Columns are
+/// plain values: a caller can keep the column at a branch point of its
+/// text and step several continuations on from it.
+///
+/// # Examples
+///
+/// ```
+/// use dna_seq::distance::{levenshtein, LaneAligner};
+/// use dna_seq::DnaSeq;
+/// let reads: [DnaSeq; 2] = ["ACGTAC".parse().unwrap(), "AGTTC".parse().unwrap()];
+/// let aligner = LaneAligner::new([reads[0].iter(), reads[1].iter()]);
+/// let text: DnaSeq = "ACGTC".parse().unwrap();
+/// let mut column = aligner.column();
+/// for base in text.iter() {
+///     column = aligner.step(column, base);
+/// }
+/// for (lane, read) in reads.iter().enumerate() {
+///     for row in 0..=read.len() {
+///         let d = levenshtein(&read.as_slice()[..row], text.as_slice());
+///         assert_eq!(column.lane(lane).distance(row), d);
+///     }
+/// }
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LaneAligner<const L: usize> {
+    /// `peq[c][l]` has bit `i` set iff lane `l`'s `pattern[i]` has code
+    /// `c`.
+    peq: [[u64; L]; 4],
+}
+
+impl<const L: usize> LaneAligner<L> {
+    /// Builds the match masks of one pattern per lane. A pattern may be
+    /// any base iterator, e.g. a read's tail reversed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pattern is longer than [`PrefixAligner::MAX_PATTERN`].
+    pub fn new<I: IntoIterator<Item = Base>>(patterns: [I; L]) -> LaneAligner<L> {
+        let mut peq = [[0u64; L]; 4];
+        for (lane, pattern) in patterns.into_iter().enumerate() {
+            for (i, base) in pattern.into_iter().enumerate() {
+                assert!(
+                    i < PrefixAligner::MAX_PATTERN,
+                    "pattern exceeds the {}-base aligner word",
+                    PrefixAligner::MAX_PATTERN
+                );
+                peq[usize::from(base.code())][lane] |= 1 << i;
+            }
+        }
+        LaneAligner { peq }
+    }
+
+    /// Column 0 of every lane's dynamic program, before any text base:
+    /// `D(i, 0) = i` for every pattern row `i`.
+    pub fn column(&self) -> Lanes<L> {
+        Lanes {
+            pv: [!0; L],
+            mv: [0; L],
+            consumed: 0,
+        }
+    }
+
+    /// The columns after `column`, one text base `base` later.
+    #[inline]
+    pub fn step(&self, column: Lanes<L>, base: Base) -> Lanes<L> {
+        let eq = &self.peq[usize::from(base.code())];
+        let (mut pv, mut mv) = ([0; L], [0; L]);
+        for lane in 0..L {
+            (pv[lane], mv[lane], _, _) = myers_step(eq[lane], column.pv[lane], column.mv[lane]);
+        }
+        Lanes {
+            pv,
+            mv,
+            consumed: column.consumed + 1,
+        }
+    }
+}
+
+/// One column of each lane of a [`LaneAligner`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lanes<const L: usize> {
+    pv: [u64; L],
+    mv: [u64; L],
+    consumed: usize,
+}
+
+impl<const L: usize> Lanes<L> {
+    /// Lane `lane`'s column.
+    #[inline]
+    pub fn lane(&self, lane: usize) -> Column {
+        Column {
+            pv: self.pv[lane],
+            mv: self.mv[lane],
+            consumed: self.consumed,
+        }
+    }
+
+    /// [`Column::lower_bound`] of every lane at once.
+    #[inline]
+    pub fn lower_bound(&self, lo: usize, hi: usize) -> [usize; L] {
+        let (rises, falls) = (low_bits(lo), low_bits(hi));
+        std::array::from_fn(|lane| {
+            (self.consumed + (self.pv[lane] & rises).count_ones() as usize)
+                .saturating_sub((self.mv[lane] & falls).count_ones() as usize)
+        })
+    }
+}
+
+/// The word with bits `0..n` set, for `n ≤ 64`.
+#[inline]
+fn low_bits(n: usize) -> u64 {
+    if n >= 64 {
+        !0
+    } else {
+        (1 << n) - 1
+    }
+}
+
+/// One column step of Myers' algorithm in global-start form, from the
+/// match mask `eq` of the text base and the column's vertical deltas:
+/// the next column's vertical deltas, then the horizontal deltas into it
+/// before the shift, whose top bits move the last row's distance.
+#[inline]
+fn myers_step(eq: u64, pv: u64, mv: u64) -> (u64, u64, u64, u64) {
+    let xv = eq | mv;
+    let xh = ((eq & pv).wrapping_add(pv) ^ pv) | eq;
+    let ph = mv | !(xh | pv);
+    let mh = pv & xh;
+    // Global start: the row-0 horizontal delta is +1 at every column.
+    let (sph, smh) = ((ph << 1) | 1, mh << 1);
+    (smh | !(xv | sph), sph & xv, ph, mh)
+}
+
 /// Iterator returned by [`PrefixAligner::distances`].
 #[derive(Debug, Clone)]
 pub struct Distances<'a, I> {
@@ -316,22 +505,14 @@ impl<I: Iterator<Item = Base>> Iterator for Distances<'_, I> {
             self.score += 1;
             return Some(self.score);
         }
-        let eq = self.peq[usize::from(base.code())];
-        let (pv, mv) = (self.pv, self.mv);
-        let xv = eq | mv;
-        let xh = ((eq & pv).wrapping_add(pv) ^ pv) | eq;
-        let ph = mv | !(xh | pv);
-        let mh = pv & xh;
+        let (pv, mv, ph, mh) = myers_step(self.peq[usize::from(base.code())], self.pv, self.mv);
         if ph & self.high != 0 {
             self.score += 1;
         } else if mh & self.high != 0 {
             self.score -= 1;
         }
-        // Global start: the row-0 horizontal delta is +1 at every column.
-        let ph = (ph << 1) | 1;
-        let mh = mh << 1;
-        self.pv = mh | !(xv | ph);
-        self.mv = ph & xv;
+        self.pv = pv;
+        self.mv = mv;
         Some(self.score)
     }
 }
@@ -500,9 +681,62 @@ mod tests {
     }
 
     #[test]
+    fn lane_columns_hold_every_row_of_the_dynamic_program() {
+        // Pattern lengths 0, 1 and 64 (every bit of the word) side by side
+        // in the lanes, and a text stepped through a branch: the column
+        // kept after a shared head serves two different continuations.
+        let mut rng = crate::rng::DetRng::seed_from_u64(11);
+        let mut random =
+            |n: usize| DnaSeq::from_bases((0..n).map(|_| Base::from_code(rng.gen_range(4) as u8)));
+        let patterns: [DnaSeq; 5] = [0, 1, 7, 33, 64].map(&mut random);
+        let aligner = LaneAligner::new(patterns.each_ref().map(DnaSeq::iter));
+        let head = random(9);
+        let mut shared = aligner.column();
+        for base in head.iter() {
+            shared = aligner.step(shared, base);
+        }
+        for _ in 0..2 {
+            let text = head.concat(&random(40));
+            let mut column = shared;
+            for j in head.len()..=text.len() {
+                let lanes = column;
+                for (lane, pattern) in patterns.iter().enumerate() {
+                    let (n, column) = (pattern.len(), column.lane(lane));
+                    let each: Vec<(usize, usize)> = (0..=n)
+                        .map(|row| {
+                            let d = levenshtein(&pattern.as_slice()[..row], &text.as_slice()[..j]);
+                            (row, d)
+                        })
+                        .collect();
+                    for lo in [0, n / 2, n] {
+                        let rows: Vec<(usize, usize)> = column.rows(lo, n).collect();
+                        assert_eq!(rows, each[lo..], "pattern {n} rows {lo}..={n} column {j}");
+                        let min = each[lo..].iter().map(|&(_, d)| d).min().unwrap();
+                        assert!(column.lower_bound(lo, n) <= min, "bound above the rows");
+                        assert_eq!(column.lower_bound(lo, lo), each[lo].1, "one row");
+                        assert_eq!(lanes.lower_bound(lo, n)[lane], column.lower_bound(lo, n));
+                    }
+                    for &(row, d) in &each {
+                        assert_eq!(column.distance(row), d, "pattern {n} row {row} column {j}");
+                    }
+                }
+                if let Some(base) = text.get(j) {
+                    column = aligner.step(column, base);
+                }
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "exceeds the 64-base aligner word")]
     fn aligner_rejects_patterns_longer_than_a_word() {
         let _ = PrefixAligner::new(DnaSeq::from_bases([Base::A; 65]).as_slice());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 64-base aligner word")]
+    fn lane_aligner_rejects_patterns_longer_than_a_word() {
+        let _ = LaneAligner::new([[Base::A; 64].to_vec(), [Base::C; 65].to_vec()]);
     }
 
     #[test]
