@@ -3,31 +3,33 @@
 //! Each layer of the simulator fast path is timed against the code it
 //! replaced, on a workload shaped like the block store's (multiplex PCR
 //! over a mostly-non-target pool, repeated sequencing of one product, one
-//! range read's primer search):
+//! range read's primer search). The replaced code of layers 1, 2 and 4–7
+//! is the reference implementation in `dna_oracle`, the same one the
+//! equivalence suites pin the fast paths to:
 //!
 //! 1. **Binding cache** — `PcrReaction::run` (per-reaction window memo,
-//!    probability table, sparse application) vs the retained dense engine
-//!    `run_reference`.
+//!    probability table, sparse application) vs the dense engine
+//!    `dna_oracle::run_pcr` on its one channel.
 //! 2. **Sparse amplification** — the same pair on a pool where almost no
 //!    species amplifies, isolating the per-cycle bookkeeping cost.
 //! 3. **Sequencing scratch** — repeated draws from an unchanged pool with
 //!    the epoch-keyed cumulative-weight table vs a cold table per batch.
 //! 4. **Decode filter** — `ReadFilter::extract` (one bit-parallel
 //!    `PrefixAligner` pass per primer) vs the per-window banded
-//!    edit-distance scan it replaced, written out below as the reference,
-//!    over one range-read round's reads and filters.
+//!    edit-distance scan it replaced (`dna_oracle::extract`), over one
+//!    range-read round's reads and filters.
 //! 5. **Decode cluster** — `cluster_reads` (rolling-k-mer signatures, one
 //!    per distinct read, stamped candidates, confirmation on the banded
 //!    bit-vector kernel with a bound that tightens after each hit) vs the
-//!    clustering it replaced, written out below with the scalar banded DP
-//!    it confirmed on, over one range-read job's interiors.
+//!    clustering it replaced (`dna_oracle::cluster_reads`, confirming on
+//!    the scalar banded DP), over one range-read job's interiors.
 //! 6. **Partition tube** — the PCR pair again, on a real paper partition's
 //!    tube, read with one block's elongated primer and with an 8-block
 //!    prefix cover: every strand carries the partition's primers.
 //! 7. **Sequencing channel** — `IdsChannel::corrupt`, whose per-base
 //!    insertion, deletion and substitution trials compare the raw draw
 //!    with thresholds fixed once per read, vs the three `gen_bool` calls
-//!    per base it replaced, written out below, over one range round's
+//!    per base it replaced (`dna_oracle::corrupt`), over one range round's
 //!    reads.
 //! 8. **Decode route** — `ReadRouter::route` (one pass per read: a trie
 //!    walk of the round's prefixes on the transposed aligner, the reverse
@@ -36,8 +38,9 @@
 //!    of layer 4.
 //!
 //! Every layer's fast path is asserted equal to its baseline *in this
-//! binary* before timing (the exhaustive oracle lives in
-//! `crates/sim/tests/fastpath_equiv.rs`), so a gate failure is a perf
+//! binary* before timing (the exhaustive equivalence suites are
+//! `crates/sim/tests/fastpath_equiv.rs` and the pipeline's
+//! `{filter,cluster,route}_equivalence.rs`), so a gate failure is a perf
 //! regression, never a correctness trade. Each side is timed in
 //! interleaved batches and gated on the median batch, so one slow batch on
 //! a shared host cannot fail a gate. Results land in
@@ -46,17 +49,13 @@
 
 use dna_bench::report;
 use dna_block_store::{workload, BlockStore, PartitionConfig, BLOCK_SIZE};
-use dna_pipeline::{
-    cluster_reads, BlockDecodeConfig, Cluster, ClusterConfig, ReadFilter, ReadRouter,
-};
-use dna_seq::kmer::Kmer;
+use dna_pipeline::{cluster_reads, BlockDecodeConfig, ReadFilter, ReadRouter};
 use dna_seq::rng::DetRng;
 use dna_seq::{Base, DnaSeq};
 use dna_sim::{
     IdsChannel, MultiplexOutcome, MultiplexPcrReaction, PcrPrimer, PcrProtocol, PcrReaction, Pool,
     PrimerChannel, Read, Sequencer, SequencerScratch,
 };
-use std::collections::HashMap;
 use std::time::Instant;
 
 struct Layer {
@@ -76,10 +75,10 @@ const BATCHES: usize = 5;
 /// After one warmup call each, the two sides run [`BATCHES`] interleaved
 /// batches of `reps` calls, so host load drifts over both alike; each
 /// side reports its median batch.
-fn time_ms<R>(
+fn time_ms<B, F>(
     reps: usize,
-    mut baseline: impl FnMut() -> R,
-    mut fast: impl FnMut() -> R,
+    mut baseline: impl FnMut() -> B,
+    mut fast: impl FnMut() -> F,
 ) -> (f64, f64) {
     fn batch<T>(reps: usize, f: &mut impl FnMut() -> T) -> f64 {
         let start = Instant::now();
@@ -163,16 +162,18 @@ fn pcr_rxn(budget: f64, cycles: usize) -> PcrReaction {
 fn bench_binding_cache() -> Layer {
     let pool = mixed_pool(8, 192);
     let rxn = pcr_rxn(60_000.0, 12);
+    let dense = dna_oracle::one_channel(&rxn);
     let fast = rxn.run(&pool);
-    let reference = rxn.run_reference(&pool);
+    let reference = dna_oracle::run_pcr(&dense, &pool);
     assert_eq!(fast.pool, reference.pool, "fast path diverged");
-    assert_eq!(fast.fwd_consumed, reference.fwd_consumed);
+    assert_eq!(fast.fwd_consumed, reference.fwd_consumed[0]);
     // Counters of one run; every run does the same work.
     let before = dna_sim::stats::thread_totals();
     let _ = rxn.run(&pool);
     let delta = dna_sim::stats::thread_totals().delta_since(&before);
 
-    let (baseline_ms, fast_ms) = time_ms(10, || rxn.run_reference(&pool), || rxn.run(&pool));
+    let (baseline_ms, fast_ms) =
+        time_ms(10, || dna_oracle::run_pcr(&dense, &pool), || rxn.run(&pool));
     Layer {
         name: "pcr_binding_cache",
         baseline_ms,
@@ -206,11 +207,13 @@ fn bench_sparse_amplify() -> Layer {
     // cycle; the fast engine touches only the amplified entries.
     let pool = mixed_pool(2, 398);
     let rxn = pcr_rxn(40_000.0, 24);
+    let dense = dna_oracle::one_channel(&rxn);
     let fast = rxn.run(&pool);
-    let reference = rxn.run_reference(&pool);
+    let reference = dna_oracle::run_pcr(&dense, &pool);
     assert_eq!(fast.pool, reference.pool, "fast path diverged");
 
-    let (baseline_ms, fast_ms) = time_ms(10, || rxn.run_reference(&pool), || rxn.run(&pool));
+    let (baseline_ms, fast_ms) =
+        time_ms(10, || dna_oracle::run_pcr(&dense, &pool), || rxn.run(&pool));
     Layer {
         name: "sparse_amplification",
         baseline_ms,
@@ -306,124 +309,8 @@ fn bench_sequencing() -> Layer {
 }
 
 // ---------------------------------------------------------------------------
-// the scalar banded edit distance the decode layers' baselines run on
-// ---------------------------------------------------------------------------
-
-/// Band cells kept on the stack by [`reference_levenshtein_bounded`]:
-/// bounds up to 32 (after clamping) never touch the allocator.
-const STACK_BAND: usize = 2 * 32 + 1;
-
-/// `levenshtein_bounded` before the bit-vector kernel: a banded dynamic
-/// program over `2·bound + 1` cells per row, with early exit once a whole
-/// row exceeds `bound`. Both decode layers' baselines (the per-window
-/// primer scan and the earlier clustering) confirm on it, so neither
-/// baseline moves when the library's kernel changes.
-fn reference_levenshtein_bounded(a: &[Base], b: &[Base], bound: usize) -> Option<usize> {
-    let (n, m) = (a.len(), b.len());
-    // No edit distance exceeds the longer length, so this clamp changes no
-    // result; it keeps the band width `2·bound + 1` from overflowing.
-    let bound = bound.min(n.max(m));
-    if n.abs_diff(m) > bound {
-        return None;
-    }
-    if n == 0 || m == 0 {
-        return Some(n.max(m));
-    }
-    const BIG: usize = usize::MAX / 2;
-    let width = 2 * bound + 1;
-    let mut stack = [BIG; STACK_BAND];
-    let mut heap = Vec::new();
-    let row: &mut [usize] = if width <= STACK_BAND {
-        &mut stack[..width]
-    } else {
-        heap.resize(width, BIG);
-        &mut heap
-    };
-    // `row[j + bound - i]` holds cell (i, j); row i = 0 is `D(0, j) = j`.
-    for (j, slot) in row[bound..].iter_mut().take(m + 1).enumerate() {
-        *slot = j;
-    }
-    for i in 1..=n {
-        let x = a[i - 1];
-        let lo = i.saturating_sub(bound);
-        let hi = (i + bound).min(m);
-        let mut left = BIG; // cell (i, j - 1)
-        let mut row_min = BIG;
-        for j in lo..=hi {
-            let k = j + bound - i;
-            // Ascending k: row[k] still holds (i-1, j-1) and row[k + 1]
-            // still holds (i-1, j).
-            let cell = if j == 0 {
-                i
-            } else {
-                let up = row.get(k + 1).copied().unwrap_or(BIG);
-                (row[k] + usize::from(x != b[j - 1]))
-                    .min(up + 1)
-                    .min(left + 1)
-            };
-            row[k] = cell;
-            left = cell;
-            row_min = row_min.min(cell);
-        }
-        if row_min > bound {
-            return None;
-        }
-    }
-    let d = row[m + bound - n];
-    (d <= bound).then_some(d)
-}
-
-// ---------------------------------------------------------------------------
 // layer 4: decode-time primer search
 // ---------------------------------------------------------------------------
-
-/// The window scan `ReadFilter` ran before the bit-parallel kernel: one
-/// banded edit distance per candidate window length `n ± max_edit`, best
-/// by distance, then length closest to `n`, then the shortest. Returns
-/// the window length.
-fn reference_window(
-    primer: &[Base],
-    read: &[Base],
-    max_edit: usize,
-    from_end: bool,
-) -> Option<usize> {
-    let n = primer.len();
-    let mut best: Option<(usize, usize)> = None; // (dist, window)
-    let lo = n.saturating_sub(max_edit);
-    let hi = (n + max_edit).min(read.len());
-    for w in lo..=hi {
-        let window = if from_end {
-            &read[read.len() - w..]
-        } else {
-            &read[..w]
-        };
-        if let Some(d) = reference_levenshtein_bounded(primer, window, max_edit) {
-            match best {
-                Some((bd, bw)) if (bd, bw.abs_diff(n)) <= (d, w.abs_diff(n)) => {}
-                _ => best = Some((d, w)),
-            }
-        }
-    }
-    best.map(|(_, w)| w)
-}
-
-/// `ReadFilter::extract` with the tail check, on the reference scan.
-fn reference_extract(
-    fwd: &DnaSeq,
-    rev_site: &DnaSeq,
-    max_edit: usize,
-    (tail_len, tol): (usize, usize),
-    read: &DnaSeq,
-) -> Option<DnaSeq> {
-    let start = reference_window(fwd.as_slice(), read.as_slice(), max_edit, false)?;
-    if tail_len == 0 || tail_len > start {
-        return None;
-    }
-    let expected = &fwd.as_slice()[fwd.len() - tail_len..];
-    reference_levenshtein_bounded(expected, &read.as_slice()[start - tail_len..start], tol)?;
-    let end = read.len() - reference_window(rev_site.as_slice(), read.as_slice(), max_edit, true)?;
-    (start < end).then(|| read.subseq(start..end))
-}
 
 /// One range read's round: 8 sibling blocks behind one main primer (the
 /// §3.1 prefix cover), 15 strands of 110-base interiors per block, 2880
@@ -477,11 +364,10 @@ fn bench_decode_filter() -> Layer {
         reads,
         filters,
     } = range_round();
-    let (max_edit, tail) = (
-        BlockDecodeConfig::paper_default(1, 1).filter_max_edit,
-        TAIL_CHECK,
-    );
-    let rev_site = rev.reverse_complement();
+    let max_edit = BlockDecodeConfig::paper_default(1, 1).filter_max_edit;
+    let reference = |prefix: &DnaSeq, read: &DnaSeq| {
+        dna_oracle::extract(prefix, &rev, max_edit, Some(TAIL_CHECK), read)
+    };
 
     // Oracle: every (filter, read) extraction is byte-identical.
     let mut extracted = 0u64;
@@ -490,7 +376,7 @@ fn bench_decode_filter() -> Layer {
             let fast = filter.extract(&read.seq);
             assert_eq!(
                 fast,
-                reference_extract(prefix, &rev_site, max_edit, tail, &read.seq),
+                reference(prefix, &read.seq),
                 "kernel filter diverged on {}",
                 read.seq
             );
@@ -507,11 +393,7 @@ fn bench_decode_filter() -> Layer {
         || {
             prefixes
                 .iter()
-                .flat_map(|p| {
-                    reads
-                        .iter()
-                        .filter_map(|r| reference_extract(p, &rev_site, max_edit, tail, &r.seq))
-                })
+                .flat_map(|p| reads.iter().filter_map(|r| reference(p, &r.seq)))
                 .count()
         },
         || {
@@ -545,78 +427,6 @@ fn bench_decode_filter() -> Layer {
 // layer 5: read clustering
 // ---------------------------------------------------------------------------
 
-/// The SplitMix64 avalanche the MinHash slots hash with.
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// `cluster_reads` before the kernel: signatures from one freshly packed
-/// k-mer per window, a linear `contains` de-dup of candidates, and every
-/// candidate confirmed on the scalar banded DP at the full bound. Returns
-/// the clusters and the number of confirmations it ran.
-fn reference_cluster_reads(reads: &[DnaSeq], config: &ClusterConfig) -> (Vec<Cluster>, u64) {
-    let mut clusters: Vec<Cluster> = Vec::new();
-    let mut buckets: HashMap<(usize, u64), Vec<usize>> = HashMap::new();
-    let mut candidates: Vec<usize> = Vec::new();
-    let mut confirmations = 0u64;
-    for (i, read) in reads.iter().enumerate() {
-        let mut sig = vec![u64::MAX; config.slots];
-        if (1..=32).contains(&config.kmer) {
-            for window in read.as_slice().windows(config.kmer) {
-                let packed = Kmer::from_bases(window).expect("k-mer window").packed();
-                for (s, slot) in sig.iter_mut().enumerate() {
-                    let h = mix(packed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(s as u64 + 1)));
-                    if h < *slot {
-                        *slot = h;
-                    }
-                }
-            }
-        }
-        candidates.clear();
-        for (s, &v) in sig.iter().enumerate() {
-            if let Some(ids) = buckets.get(&(s, v)) {
-                for &c in ids {
-                    if !candidates.contains(&c) {
-                        candidates.push(c);
-                    }
-                }
-            }
-        }
-        let mut best: Option<(usize, usize)> = None; // (dist, cluster)
-        for &c in candidates.iter() {
-            let rep_idx = clusters[c].members[0];
-            confirmations += 1;
-            if let Some(d) = reference_levenshtein_bounded(
-                read.as_slice(),
-                reads[rep_idx].as_slice(),
-                config.max_edit,
-            ) {
-                if best.is_none_or(|(bd, _)| d < bd) {
-                    best = Some((d, c));
-                }
-            }
-        }
-        match best {
-            Some((_, c)) => clusters[c].members.push(i),
-            None => {
-                let id = clusters.len();
-                clusters.push(Cluster { members: vec![i] });
-                for (s, &v) in sig.iter().enumerate() {
-                    buckets.entry((s, v)).or_default().push(id);
-                }
-            }
-        }
-    }
-    clusters.sort_by(|a, b| {
-        b.size()
-            .cmp(&a.size())
-            .then(a.members[0].cmp(&b.members[0]))
-    });
-    (clusters, confirmations)
-}
-
 fn bench_decode_cluster() -> Layer {
     // One decode job of the range round: the interiors the first block's
     // filter extracts, about 360 reads of 15 originals.
@@ -628,7 +438,7 @@ fn bench_decode_cluster() -> Layer {
         .collect();
     let config = BlockDecodeConfig::paper_default(1, 1).cluster;
     let clusters = cluster_reads(&interiors, &config);
-    let (reference, confirmations) = reference_cluster_reads(&interiors, &config);
+    let (reference, confirmations) = dna_oracle::cluster_reads(&interiors, &config);
     assert_eq!(clusters, reference, "kernel clustering diverged");
     // The candidate sets are pinned exactly: a change to the signatures or
     // the bucketing moves this count even where the clusters survive it.
@@ -640,7 +450,7 @@ fn bench_decode_cluster() -> Layer {
 
     let (baseline_ms, fast_ms) = time_ms(
         20,
-        || reference_cluster_reads(&interiors, &config).0.len(),
+        || dna_oracle::cluster_reads(&interiors, &config).0.len(),
         || cluster_reads(&interiors, &config).len(),
     );
     Layer {
@@ -716,7 +526,7 @@ fn bench_partition_tube() -> Layer {
     let mut species_out = 0;
     for rxn in &reactions {
         let fast = rxn.run(&tube);
-        let reference = rxn.run_reference(&tube);
+        let reference = dna_oracle::run_pcr(rxn, &tube);
         assert_eq!(fast.pool, reference.pool, "fast path diverged");
         assert_eq!(fast.fwd_consumed, reference.fwd_consumed);
         assert_eq!(fast.rev_consumed, reference.rev_consumed);
@@ -741,7 +551,7 @@ fn bench_partition_tube() -> Layer {
     };
     let (baseline_ms, fast_ms) = time_ms(
         1,
-        || run_all(MultiplexPcrReaction::run_reference),
+        || run_all(dna_oracle::run_pcr),
         || run_all(MultiplexPcrReaction::run),
     );
     Layer {
@@ -781,30 +591,6 @@ fn bench_partition_tube() -> Layer {
 // layer 7: sequencing error channel
 // ---------------------------------------------------------------------------
 
-/// `IdsChannel::corrupt` before its trials moved to integer thresholds:
-/// three `gen_bool` calls per base, each converting its draw to `f64`.
-fn reference_corrupt(channel: &IdsChannel, seq: &DnaSeq, rng: &mut DetRng) -> DnaSeq {
-    let mut out = DnaSeq::with_capacity(seq.len() + 4);
-    for b in seq.iter() {
-        if rng.gen_bool(channel.ins_rate) {
-            out.push(Base::from_code(rng.gen_range(4) as u8));
-        }
-        if rng.gen_bool(channel.del_rate) {
-            continue;
-        }
-        if rng.gen_bool(channel.sub_rate) {
-            let mut nb = Base::from_code(rng.gen_range(4) as u8);
-            if nb == b {
-                nb = Base::from_code((b.code() + 1) & 0b11);
-            }
-            out.push(nb);
-        } else {
-            out.push(b);
-        }
-    }
-    out
-}
-
 fn bench_sequencing_channel() -> Layer {
     // The range round's 2880 reads, each passed through the Illumina
     // channel once more: the per-read work of a sequencing run after its
@@ -819,12 +605,12 @@ fn bench_sequencing_channel() -> Layer {
             .collect::<Vec<_>>()
     };
     let reads = run(IdsChannel::corrupt);
-    assert_eq!(reads, run(reference_corrupt), "channel reads diverged");
+    assert_eq!(reads, run(dna_oracle::corrupt), "channel reads diverged");
     let bases: usize = templates.iter().map(DnaSeq::len).sum();
 
     let (baseline_ms, fast_ms) = time_ms(
         5,
-        || run(reference_corrupt).len(),
+        || run(dna_oracle::corrupt).len(),
         || run(IdsChannel::corrupt).len(),
     );
     Layer {

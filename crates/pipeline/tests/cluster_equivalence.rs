@@ -3,86 +3,19 @@
 //! Clustering now signs reads with a rolling packed k-mer, signs each
 //! distinct read once, de-duplicates candidates with a per-cluster stamp,
 //! confirms on the banded bit-vector kernel and tightens the bound after
-//! each confirmation. This suite keeps
-//! a test-only copy of the earlier clustering — a signature built from one
-//! `Kmer::from_bases` per window, a linear `contains` de-dup, and
-//! confirmation on the unbanded `levenshtein`, so the oracle shares no code
-//! with the kernel — and asserts identical clusters, member order included,
-//! on the reads that stress candidate order and ties: Illumina, 4x-noise
-//! and nanopore reads, duplicated originals, reads shorter than `k`, and
-//! empty reads.
+//! each confirmation. This suite asserts identical clusters, member order
+//! included, against `dna_oracle::cluster_reads` — a signature built from
+//! one `Kmer::from_bases` per window, a linear `contains` de-dup, and
+//! confirmation on the oracle's own scalar banded DP, so the oracle shares
+//! no code with the kernel — on the reads that stress candidate order and
+//! ties: Illumina, 4x-noise and nanopore reads, duplicated originals, reads
+//! shorter than `k`, and empty reads.
 
-use dna_pipeline::{cluster_reads, Cluster, ClusterConfig};
-use dna_seq::distance::levenshtein;
-use dna_seq::kmer::Kmer;
+use dna_pipeline::{cluster_reads, ClusterConfig};
 use dna_seq::rng::DetRng;
 use dna_seq::{Base, DnaSeq};
 use dna_sim::IdsChannel;
 use proptest::prelude::*;
-use std::collections::HashMap;
-
-/// The SplitMix64 avalanche the MinHash slots hash with.
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// The MinHash signature, one freshly packed k-mer per window.
-fn reference_signature(read: &DnaSeq, k: usize, slots: usize) -> Vec<u64> {
-    let mut sig = vec![u64::MAX; slots];
-    if !(1..=32).contains(&k) {
-        return sig;
-    }
-    for window in read.as_slice().windows(k) {
-        let packed = Kmer::from_bases(window).expect("k-mer window").packed();
-        for (i, slot) in sig.iter_mut().enumerate() {
-            let h = mix(packed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1));
-            *slot = (*slot).min(h);
-        }
-    }
-    sig
-}
-
-/// `cluster_reads` as it ran before the kernel.
-fn reference_cluster_reads(reads: &[DnaSeq], config: &ClusterConfig) -> Vec<Cluster> {
-    let mut clusters: Vec<Cluster> = Vec::new();
-    let mut buckets: HashMap<(usize, u64), Vec<usize>> = HashMap::new();
-    for (i, read) in reads.iter().enumerate() {
-        let sig = reference_signature(read, config.kmer, config.slots);
-        let mut candidates: Vec<usize> = Vec::new();
-        for (s, &v) in sig.iter().enumerate() {
-            for &c in buckets.get(&(s, v)).into_iter().flatten() {
-                if !candidates.contains(&c) {
-                    candidates.push(c);
-                }
-            }
-        }
-        let mut best: Option<(usize, usize)> = None;
-        for &c in &candidates {
-            let rep = &reads[clusters[c].members[0]];
-            let d = levenshtein(read.as_slice(), rep.as_slice());
-            if d <= config.max_edit && best.is_none_or(|(bd, _)| d < bd) {
-                best = Some((d, c));
-            }
-        }
-        match best {
-            Some((_, c)) => clusters[c].members.push(i),
-            None => {
-                for (s, &v) in sig.iter().enumerate() {
-                    buckets.entry((s, v)).or_default().push(clusters.len());
-                }
-                clusters.push(Cluster { members: vec![i] });
-            }
-        }
-    }
-    clusters.sort_by(|a, b| {
-        b.size()
-            .cmp(&a.size())
-            .then(a.members[0].cmp(&b.members[0]))
-    });
-    clusters
-}
 
 fn random_seq(len: usize, rng: &mut DetRng) -> DnaSeq {
     DnaSeq::from_bases((0..len).map(|_| Base::from_code(rng.gen_range(4) as u8)))
@@ -132,7 +65,7 @@ fn scaled(channel: IdsChannel, factor: f64) -> IdsChannel {
 fn assert_equivalent(reads: &[DnaSeq], config: &ClusterConfig) {
     assert_eq!(
         cluster_reads(reads, config),
-        reference_cluster_reads(reads, config),
+        dna_oracle::cluster_reads(reads, config).0,
         "clusters diverged under {config:?}"
     );
 }
@@ -252,7 +185,7 @@ proptest! {
         let config = ClusterConfig::default();
         prop_assert_eq!(
             cluster_reads(&reads, &config),
-            reference_cluster_reads(&reads, &config)
+            dna_oracle::cluster_reads(&reads, &config).0
         );
     }
 }

@@ -3,81 +3,20 @@
 //!
 //! `ReadFilter::extract` runs one `PrefixAligner` pass per primer, and the
 //! round's `ReadRouter` runs the aligner transposed over a trie of its
-//! jobs' prefixes. This suite keeps a test-only copy of the earlier window
-//! scan — one edit-distance computation per candidate window length, here
-//! on the unbanded `levenshtein` so the oracle shares no code with the
-//! kernel — and asserts identical extractions and routings on the reads
-//! that stress the tie-break: IDS-noisy reads, sibling indexes at Hamming
-//! distance 2, indels next to the index tail, reads shorter than the
-//! primer window, and empty reads.
+//! jobs' prefixes. This suite asserts identical extractions and routings
+//! against `dna_oracle::extract` — the earlier window scan, one
+//! edit-distance computation per candidate window length, on the oracle's
+//! own scalar banded DP so it shares no code with the kernel — on the
+//! reads that stress the tie-break: IDS-noisy reads, sibling indexes at
+//! Hamming distance 2, indels next to the index tail, reads shorter than
+//! the primer window, and empty reads.
 
+use dna_oracle::extract;
 use dna_pipeline::{ReadFilter, ReadRouter};
-use dna_seq::distance::levenshtein;
 use dna_seq::rng::DetRng;
 use dna_seq::{Base, DnaSeq};
 use dna_sim::IdsChannel;
 use proptest::prelude::*;
-
-/// `levenshtein(a, b)` when it is at most `bound`.
-fn within(a: &[Base], b: &[Base], bound: usize) -> Option<usize> {
-    let d = levenshtein(a, b);
-    (d <= bound).then_some(d)
-}
-
-/// The window scan as it ran before the aligner: every window length
-/// `n ± max_edit` at the head (`from_end == false`) or tail of the read is
-/// aligned on its own; the best has the smallest distance, then the length
-/// closest to `n`, then the first (shortest). Returns the window length.
-fn reference_window(
-    primer: &[Base],
-    read: &[Base],
-    max_edit: usize,
-    from_end: bool,
-) -> Option<usize> {
-    let n = primer.len();
-    let mut best: Option<(usize, usize)> = None; // (dist, window)
-    let lo = n.saturating_sub(max_edit);
-    let hi = (n + max_edit).min(read.len());
-    for w in lo..=hi {
-        let window = if from_end {
-            &read[read.len() - w..]
-        } else {
-            &read[..w]
-        };
-        if let Some(d) = within(primer, window, max_edit) {
-            match best {
-                Some((bd, bw)) if (bd, bw.abs_diff(n)) <= (d, w.abs_diff(n)) => {}
-                _ => best = Some((d, w)),
-            }
-        }
-    }
-    best.map(|(_, w)| w)
-}
-
-/// `ReadFilter::extract` as it ran before the aligner.
-fn reference_extract(
-    fwd: &DnaSeq,
-    rev_primer: &DnaSeq,
-    max_edit: usize,
-    tail_check: Option<(usize, usize)>,
-    read: &DnaSeq,
-) -> Option<DnaSeq> {
-    let start = reference_window(fwd.as_slice(), read.as_slice(), max_edit, false)?;
-    if let Some((tail_len, tol)) = tail_check {
-        if tail_len == 0 || tail_len > start {
-            return None;
-        }
-        let expected = &fwd.as_slice()[fwd.len() - tail_len..];
-        let window = &read.as_slice()[start - tail_len..start];
-        within(expected, window, tol)?;
-    }
-    let rev_site = rev_primer.reverse_complement();
-    let end = read.len() - reference_window(rev_site.as_slice(), read.as_slice(), max_edit, true)?;
-    if start >= end {
-        return None;
-    }
-    Some(read.subseq(start..end))
-}
 
 fn random_seq(len: usize, rng: &mut DetRng) -> DnaSeq {
     DnaSeq::from_bases((0..len).map(|_| Base::from_code(rng.gen_range(4) as u8)))
@@ -181,7 +120,7 @@ fn assert_filters_agree(s: &Strand, reads: &[DnaSeq]) -> Result<(), TestCaseErro
         for read in reads {
             prop_assert_eq!(
                 filter.extract(read),
-                reference_extract(&s.fwd, &s.rev, max_edit, tail_check, read),
+                extract(&s.fwd, &s.rev, max_edit, tail_check, read),
                 "max_edit {} tail {:?} read {}",
                 max_edit,
                 tail_check,
@@ -209,7 +148,7 @@ fn assert_routing_agrees(s: &Strand, reads: &[DnaSeq]) -> Result<(), TestCaseErr
     for (&(max_edit, tail_check), interiors) in settings.iter().zip(&routed) {
         let expected: Vec<DnaSeq> = reads
             .iter()
-            .filter_map(|r| reference_extract(&s.fwd, &s.rev, max_edit, tail_check, r))
+            .filter_map(|r| extract(&s.fwd, &s.rev, max_edit, tail_check, r))
             .collect();
         prop_assert_eq!(
             interiors,

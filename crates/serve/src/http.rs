@@ -118,16 +118,18 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Requ
 /// Without chunked decoding, a body framed any other way than by one
 /// agreed length would be misread, its tail parsed as the next message:
 /// any `Transfer-Encoding`, and `Content-Length` headers that disagree,
-/// are refused instead.
+/// are refused instead. A length is ASCII digits only (RFC 9110 §8.6,
+/// `1*DIGIT`): `usize::from_str` would also take a leading `+`.
 fn body_length(headers: &[(String, String)]) -> io::Result<usize> {
     if headers.iter().any(|(n, _)| n == "transfer-encoding") {
         return Err(invalid("transfer-encoding is not supported"));
     }
     let mut length = None;
     for (_, v) in headers.iter().filter(|(n, _)| n == "content-length") {
-        let len = v
-            .parse::<usize>()
-            .map_err(|_| invalid("unparsable content-length"))?;
+        let len = match v.parse::<usize>() {
+            Ok(len) if v.bytes().all(|b| b.is_ascii_digit()) => len,
+            _ => return Err(invalid("unparsable content-length")),
+        };
         if length.is_some_and(|first| first != len) {
             return Err(invalid("conflicting content-length headers"));
         }

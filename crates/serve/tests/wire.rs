@@ -228,11 +228,14 @@ fn malformed_and_unknown_requests_answer_typed_errors() {
         )
     };
     let files = format!("PUT /v1/files/{pid} HTTP/1.1");
+    // RFC 9110 §8.6: a length is digits only, so a signed one is refused.
+    let signed = format!("{files}\r\ncontent-length: +{}\r\n\r\n{data}", data.len());
     for request in [
         chunked("POST /v1/partitions HTTP/1.1"),
         chunked(&files),
         conflicting("POST /v1/partitions HTTP/1.1"),
         conflicting(&files),
+        signed,
     ] {
         let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("raw connect");
         raw.set_read_timeout(Some(std::time::Duration::from_secs(10)))

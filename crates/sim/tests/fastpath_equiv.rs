@@ -2,19 +2,20 @@
 //!
 //! The per-reaction window memo, the probability table, and the sparse
 //! amplification bookkeeping are pure work-avoidance: `run` must produce
-//! **bit-identical** results to the retained dense engine `run_reference`
-//! — same species set, same f64 abundances (same accumulation order, so
+//! **bit-identical** results to the dense engine `dna_oracle::run_pcr` —
+//! same species set, same f64 abundances (same accumulation order, so
 //! exact equality, not approximate), same consumed primer budgets, same
-//! misprime accounting. Likewise the sequencer's epoch-keyed scratch must
+//! misprime accounting. A `PcrReaction` is compared with the oracle run on
+//! its one channel. Likewise the sequencer's epoch-keyed scratch must
 //! never change a single read, and its IDS channel, which decides each
 //! per-base trial on an integer threshold, must draw exactly what the
-//! `gen_bool` loop it replaced drew.
+//! `gen_bool` loop of `dna_oracle::corrupt` draws.
 
 use dna_seq::rng::DetRng;
 use dna_seq::{Base, DnaSeq};
 use dna_sim::{
-    IdsChannel, MultiplexPcrReaction, PcrPrimer, PcrProtocol, PcrReaction, Pool, PrimerChannel,
-    Sequencer, SequencerScratch, StrandTag,
+    IdsChannel, MultiplexOutcome, MultiplexPcrReaction, PcrOutcome, PcrPrimer, PcrProtocol,
+    PcrReaction, Pool, PrimerChannel, Sequencer, SequencerScratch, StrandTag,
 };
 use proptest::prelude::*;
 
@@ -70,10 +71,7 @@ fn single_channel(fwd: DnaSeq, rev: DnaSeq, budget: f64) -> MultiplexPcrReaction
     }
 }
 
-fn assert_outcomes_identical(
-    fast: &dna_sim::MultiplexOutcome,
-    reference: &dna_sim::MultiplexOutcome,
-) {
+fn assert_outcomes_identical(fast: &MultiplexOutcome, reference: &MultiplexOutcome) {
     // Pool equality is content-exact: same species, same f64 bits by Eq on
     // the ordered species map (epochs are excluded from PartialEq).
     assert_eq!(fast.pool, reference.pool, "pool contents diverged");
@@ -83,6 +81,28 @@ fn assert_outcomes_identical(
     );
     assert_eq!(
         fast.rev_consumed, reference.rev_consumed,
+        "reverse budgets diverged"
+    );
+    assert_eq!(
+        fast.misprime_species, reference.misprime_species,
+        "misprime accounting diverged"
+    );
+}
+
+/// The oracle's outcome for `rxn`, run on its one channel.
+fn oracle(rxn: &PcrReaction, pool: &Pool) -> MultiplexOutcome {
+    dna_oracle::run_pcr(&dna_oracle::one_channel(rxn), pool)
+}
+
+/// A simple reaction's outcome against the oracle's one-channel outcome.
+fn assert_single_identical(fast: &PcrOutcome, reference: &MultiplexOutcome) {
+    assert_eq!(fast.pool, reference.pool, "pool contents diverged");
+    assert_eq!(
+        fast.fwd_consumed, reference.fwd_consumed[0],
+        "forward budgets diverged"
+    );
+    assert_eq!(
+        fast.rev_consumed, reference.rev_consumed[0],
         "reverse budgets diverged"
     );
     assert_eq!(
@@ -113,11 +133,7 @@ fn single_reaction_matches_reference_engine() {
         protocol: PcrProtocol::paper_block_access(),
     };
     let fast = rxn.run(&pool);
-    let reference = rxn.run_reference(&pool);
-    assert_eq!(fast.pool, reference.pool);
-    assert_eq!(fast.fwd_consumed, reference.fwd_consumed);
-    assert_eq!(fast.rev_consumed, reference.rev_consumed);
-    assert_eq!(fast.misprime_species, reference.misprime_species);
+    assert_single_identical(&fast, &oracle(&rxn, &pool));
     for (seq, abundance) in [(decoy(3, 90), 1000.0), (decoy(1, 70), 400.0)] {
         assert_eq!(fast.pool.get(&seq).map(|sp| sp.abundance), Some(abundance));
     }
@@ -152,7 +168,7 @@ fn multiplex_two_channels_match_reference() {
         ],
         protocol: PcrProtocol::paper_block_access(),
     };
-    assert_outcomes_identical(&rxn.run(&pool), &rxn.run_reference(&pool));
+    assert_outcomes_identical(&rxn.run(&pool), &dna_oracle::run_pcr(&rxn, &pool));
 }
 
 #[test]
@@ -171,16 +187,12 @@ fn chained_reactions_match_reference_without_drift() {
     };
     let mut current = pool;
     let mut counts = Vec::new();
-    for round in 0..3 {
+    for _ in 0..3 {
         let before = dna_sim::stats::thread_totals();
         let fast = rxn.run(&current);
         let delta = dna_sim::stats::thread_totals().delta_since(&before);
         counts.push((delta.species_scanned, delta.binding_cache_hits));
-        let reference = rxn.run_reference(&current);
-        assert_eq!(fast.pool, reference.pool, "round {round} pool diverged");
-        assert_eq!(fast.fwd_consumed, reference.fwd_consumed, "round {round}");
-        assert_eq!(fast.rev_consumed, reference.rev_consumed, "round {round}");
-        assert_eq!(fast.misprime_species, reference.misprime_species);
+        assert_single_identical(&fast, &oracle(&rxn, &current));
         // Feed the product forward — mutated pools exercise the memo by
         // content, not by identity.
         current = fast.pool.scaled(0.5);
@@ -225,7 +237,7 @@ fn strands_sharing_a_three_prime_window_cost_one_reverse_alignment() {
     assert_eq!(fast.misprime_species, 0);
     assert_eq!(delta.species_scanned, n as u64 + 1);
     assert_eq!(delta.binding_cache_hits, n as u64 - 1);
-    assert_outcomes_identical(&fast, &rxn.run_reference(&pool));
+    assert_outcomes_identical(&fast, &dna_oracle::run_pcr(&rxn, &pool));
 }
 
 #[test]
@@ -264,11 +276,7 @@ fn touchdown_temperatures_hit_probability_memo_identically() {
         reverse_primer: PcrPrimer::with_budget(rev_primer(), 25_000.0),
         protocol: PcrProtocol::touchdown(68.0, 55.0, 4),
     };
-    let fast = rxn.run(&pool);
-    let reference = rxn.run_reference(&pool);
-    assert_eq!(fast.pool, reference.pool);
-    assert_eq!(fast.fwd_consumed, reference.fwd_consumed);
-    assert_eq!(fast.rev_consumed, reference.rev_consumed);
+    assert_single_identical(&rxn.run(&pool), &oracle(&rxn, &pool));
 }
 
 #[test]
@@ -287,30 +295,6 @@ fn sequence_into_reusing_scratch_is_read_identical() {
         seq.sequence_into(&pool, batch, &mut rng, &mut scratch, &mut streamed);
     }
     assert_eq!(streamed, baseline);
-}
-
-/// `IdsChannel::corrupt` as it was before its trials moved to integer
-/// thresholds: three `gen_bool` calls per base.
-fn reference_corrupt(channel: &IdsChannel, seq: &DnaSeq, rng: &mut DetRng) -> DnaSeq {
-    let mut out = DnaSeq::with_capacity(seq.len() + 4);
-    for b in seq.iter() {
-        if rng.gen_bool(channel.ins_rate) {
-            out.push(Base::from_code(rng.gen_range(4) as u8));
-        }
-        if rng.gen_bool(channel.del_rate) {
-            continue;
-        }
-        if rng.gen_bool(channel.sub_rate) {
-            let mut nb = Base::from_code(rng.gen_range(4) as u8);
-            if nb == b {
-                nb = Base::from_code((b.code() + 1) & 0b11);
-            }
-            out.push(nb);
-        } else {
-            out.push(b);
-        }
-    }
-    out
 }
 
 #[test]
@@ -343,7 +327,7 @@ fn ids_channel_draws_what_the_gen_bool_loop_drew() {
             for _ in 0..4 {
                 assert_eq!(
                     channel.corrupt(&template, &mut fast),
-                    reference_corrupt(channel, &template, &mut reference),
+                    dna_oracle::corrupt(channel, &template, &mut reference),
                     "{channel:?} seed {seed}"
                 );
             }
@@ -386,10 +370,10 @@ proptest! {
             protocol: PcrProtocol::standard(cycles, temp),
         };
         let fast = rxn.run(&pool);
-        let reference = rxn.run_reference(&pool);
+        let reference = oracle(&rxn, &pool);
         prop_assert_eq!(&fast.pool, &reference.pool);
-        prop_assert_eq!(&fast.fwd_consumed, &reference.fwd_consumed);
-        prop_assert!(fast.rev_consumed == reference.rev_consumed);
+        prop_assert_eq!(&fast.fwd_consumed, &reference.fwd_consumed[0]);
+        prop_assert!(fast.rev_consumed == reference.rev_consumed[0]);
         prop_assert_eq!(fast.misprime_species, reference.misprime_species);
     }
 
@@ -509,7 +493,7 @@ proptest! {
             },
         };
         let fast = rxn.run(&pool);
-        let reference = rxn.run_reference(&pool);
+        let reference = dna_oracle::run_pcr(&rxn, &pool);
         prop_assert_eq!(&fast.pool, &reference.pool);
         prop_assert_eq!(&fast.fwd_consumed, &reference.fwd_consumed);
         prop_assert_eq!(&fast.rev_consumed, &reference.rev_consumed);
